@@ -320,15 +320,10 @@ let write_json path ~seed ~budget ~jobs ~cache ~baseline ~total =
     if Float.is_integer v && Float.abs v < 1e15 then Json.Int (int_of_float v)
     else Json.Float v
   in
-  let hist_json (s : Mcml_obs.Obs.hist_stats) =
-    Json.Obj
-      [
-        ("count", Json.Int s.Mcml_obs.Obs.count);
-        ("p50_ms", Json.Float s.Mcml_obs.Obs.p50);
-        ("p90_ms", Json.Float s.Mcml_obs.Obs.p90);
-        ("p99_ms", Json.Float s.Mcml_obs.Obs.p99);
-        ("max_ms", Json.Float s.Mcml_obs.Obs.max);
-      ]
+  (* no max: a section's histograms are diffs of cumulative ones, whose
+     exact per-section max is not known (see [Obs.Histogram.diff]) *)
+  let hist_json name (s : Obs.hist_stats) =
+    Json.Obj (("count", Json.Int s.Obs.count) :: Obs.stats_fields ~max:false name s)
   in
   let section { sec_name; sec_wall; sec_counters; sec_latency } =
     let speedup =
@@ -342,7 +337,7 @@ let write_json path ~seed ~budget ~jobs ~cache ~baseline ~total =
       @ speedup
       @ [
           ("counters", Json.Obj (List.map (fun (k, v) -> (k, num v)) sec_counters));
-          ("latency", Json.Obj (List.map (fun (k, s) -> (k, hist_json s)) sec_latency));
+          ("latency", Json.Obj (List.map (fun (k, s) -> (k, hist_json k s)) sec_latency));
         ])
   in
   let ch, cm, ce =
@@ -389,20 +384,21 @@ let write_json path ~seed ~budget ~jobs ~cache ~baseline ~total =
    difference, so the gap is the serving overhead.  Latencies go into
    local histograms (usable without any telemetry sink installed); the
    summary lands in --json under the optional "serve" key. *)
-(* [jitter] > 0 perturbs each request's budget by [jitter * id]: the
-   budget is part of the count-cache key (printed %h, so any float
-   difference separates keys), which turns the workload into pure
-   cache-miss traffic — every request really counts.  The fleet bench
-   needs that: identical requests would be absorbed by single-flight
-   and the shard memos instead of exercising the shards. *)
-let serve_requests ?(jitter = 0.0) ~budget ~seed () =
-  let props =
-    List.map Props.find_exn
-      [ "Reflexive"; "Irreflexive"; "Antisymmetric"; "Transitive"; "PartialOrder" ]
-  in
+(* Four rounds of the same ten (property, scope) pairs.  With
+   [distinct], the rounds ask four different sets of formulas (two
+   groups of properties, each plain and symmetry-broken), which turns
+   the workload into pure cache-miss traffic of plain-sized counts —
+   every request really counts.  The fleet bench needs that: identical
+   requests would be absorbed by single-flight and the shard memos
+   instead of exercising the shards. *)
+let serve_requests ?(distinct = false) ~budget ~seed () =
+  let group names = List.map Props.find_exn names in
+  let first = group [ "Reflexive"; "Irreflexive"; "Antisymmetric"; "Transitive"; "PartialOrder" ]
+  and second = group [ "PreOrder"; "StrictOrder"; "Function"; "Injective"; "Functional" ] in
   List.concat
     (List.map
        (fun round ->
+         let props = if distinct && round >= 2 then second else first in
          List.concat
            (List.map
               (fun scope ->
@@ -418,10 +414,10 @@ let serve_requests ?(jitter = 0.0) ~budget ~seed () =
                           {
                             Mcml_serve.Protocol.prop;
                             scope = Some scope;
-                            symmetry = false;
+                            symmetry = distinct && round land 1 = 1;
                             negate = false;
                             backend = Mcml_counting.Counter.Exact;
-                            budget = budget +. (jitter *. float_of_int id);
+                            budget;
                             seed;
                           };
                     })
@@ -676,7 +672,7 @@ let run_fleet_serve ~shards ~budget ~seed ~use_cache =
   let open Mcml_serve in
   let module Router = Mcml_fleet.Router in
   let now = Obs.monotonic_s in
-  let reqs = serve_requests ~jitter:1e-9 ~budget ~seed () in
+  let reqs = serve_requests ~distinct:true ~budget ~seed () in
   let n = List.length reqs in
   (* pipeline the whole list through one JSONL connection: write every
      request, half-close, read every response — the fleet's burst shape *)

@@ -14,6 +14,17 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== test_obs x20: a flake in trace ids or context must show up =="
+i=1
+while [ $i -le 20 ]; do
+  _build/default/test/test_obs.exe >/dev/null 2>&1 || {
+    echo "FAIL: test_obs failed on run $i of 20" >&2
+    exit 1
+  }
+  i=$((i + 1))
+done
+echo "   20/20 test_obs runs passed"
+
 echo "== smoke: mcml list =="
 dune exec bin/main.exe -- list >/dev/null
 

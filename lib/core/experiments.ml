@@ -58,7 +58,8 @@ let paper =
 
 let scope_for cfg prop ~symmetry =
   let scope =
-    Props.select_scope prop ~symmetry ~threshold:cfg.threshold ~max_scope:cfg.max_scope
+    Props.select_scope ~budget:cfg.budget ?cache:cfg.cache prop ~symmetry
+      ~threshold:cfg.threshold ~max_scope:cfg.max_scope
   in
   max cfg.min_scope scope
 
@@ -145,7 +146,7 @@ let model_performance cfg ~prop ~symmetry : perf_row list =
      paper's higher threshold (10k/90k there) proportionally *)
   let scope =
     max cfg.min_scope
-      (Mcml_props.Props.select_scope prop ~symmetry
+      (Props.select_scope ~budget:cfg.budget ?cache:cfg.cache prop ~symmetry
          ~threshold:(max cfg.threshold 800) ~max_scope:cfg.max_scope)
   in
   let data =

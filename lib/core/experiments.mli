@@ -53,7 +53,9 @@ val paper : config
     budgets).  Hours of compute; for faithful replication runs. *)
 
 val scope_for : config -> Props.t -> symmetry:bool -> int
-(** The paper's scope-selection rule under this config. *)
+(** The paper's scope-selection rule under this config
+    ({!Props.select_scope} with the config's threshold, scope bounds,
+    budget and count cache). *)
 
 (* --- Table 1: subject properties and model counts ------------------- *)
 

@@ -5,35 +5,32 @@ type backend = Exact | Approx of Approx.config | Brute
 
 type outcome = { count : Bignat.t; exact : bool; time : float }
 
-type cache = outcome option Memo.t
+(* A completed count answers every budget; a timeout remembers the
+   budget it ran out under. *)
+type entry = Counted of outcome | Timed_out of float
+
+type cache = entry Memo.t
 
 let name = function
   | Exact -> "exact(ddnnf)"
   | Approx _ -> "approx(approxmc)"
   | Brute -> "brute"
 
-(* Disk codec for [outcome option].  Timeouts are persisted too — the
-   budget is part of the key, so a recorded timeout is as durable a
-   fact as a count.  "t" = timeout; "c <decimal> <e|a> <%h time>"
-   otherwise.  Anything unparseable is treated as absent, never as a
-   wrong answer. *)
-let outcome_to_string = function
-  | None -> "t"
-  | Some { count; exact; time } ->
-      Printf.sprintf "c %s %s %h" (Bignat.to_string count)
-        (if exact then "e" else "a")
-        time
+(* Disk codec for completed counts: "c <decimal> <e|a> <%h time>".
+   Timeouts stay in memory: how far a budget gets depends on the host
+   and its load, and the log's first-insert-wins records could never
+   upgrade a persisted timeout to a later count.  Anything unparseable
+   is treated as absent, never as a wrong answer. *)
+let outcome_to_string { count; exact; time } =
+  Printf.sprintf "c %s %s %h" (Bignat.to_string count) (if exact then "e" else "a") time
 
 let outcome_of_string s =
-  if s = "t" then Some None
-  else
-    match String.split_on_char ' ' s with
-    | [ "c"; digits; flag; time ] -> (
-        match (Bignat.of_string digits, flag, float_of_string_opt time) with
-        | Some count, ("e" | "a"), Some time ->
-            Some (Some { count; exact = flag = "e"; time })
-        | _ -> None)
-    | _ -> None
+  match String.split_on_char ' ' s with
+  | [ "c"; digits; flag; time ] -> (
+      match (Bignat.of_string digits, flag, float_of_string_opt time) with
+      | Some count, ("e" | "a"), Some time -> Some { count; exact = flag = "e"; time }
+      | _ -> None)
+  | _ -> None
 
 let cache_create ?capacity ?disk () =
   let backing =
@@ -42,9 +39,12 @@ let cache_create ?capacity ?disk () =
         {
           Memo.load =
             (fun key ->
-              Option.bind (Mcml_exec.Diskcache.find d ~key) outcome_of_string);
+              Option.bind (Mcml_exec.Diskcache.find d ~key) (fun s ->
+                  Option.map (fun o -> Counted o) (outcome_of_string s)));
           store =
-            (fun key v -> Mcml_exec.Diskcache.add d ~key (outcome_to_string v));
+            (fun key -> function
+              | Counted o -> Mcml_exec.Diskcache.add d ~key (outcome_to_string o)
+              | Timed_out _ -> ());
         })
       disk
   in
@@ -52,17 +52,18 @@ let cache_create ?capacity ?disk () =
 
 let cache_stats = Memo.stats
 
-(* The key serializes everything the outcome depends on: the backend
-   and all its parameters (for Approx: epsilon, delta, seed,
+(* The key serializes everything a completed count depends on: the
+   backend and all its parameters (for Approx: epsilon, delta, seed,
    max_rounds, max_conflicts, scratch — two configs differing only in
    seed may legitimately return different estimates; scratch and
    incremental produce identical estimates but are keyed apart so the
    equivalence gate in check.sh never reads one through the other's
-   cache slot), the budget, and the full CNF content
-   (nvars, projection set — distinguishing [None] from an explicit
-   set — and every literal of every clause, in order).  Floats are
-   printed with %h so distinct budgets never collide. *)
-let cache_key ~budget ~backend (cnf : Cnf.t) =
+   cache slot) and the full CNF content (nvars, projection set —
+   distinguishing [None] from an explicit set — and every literal of
+   every clause, in order).  The budget is not part of it: a completed
+   count is the same under any budget, and a timeout carries its own
+   budget in the entry. *)
+let cache_key ~backend (cnf : Cnf.t) =
   let buf = Buffer.create (64 + (8 * Cnf.num_literals cnf)) in
   (match backend with
   | Exact -> Buffer.add_string buf "exact"
@@ -73,7 +74,7 @@ let cache_key ~budget ~backend (cnf : Cnf.t) =
            (match max_rounds with None -> "-" | Some r -> string_of_int r)
            max_conflicts
            (if scratch then 's' else 'i')));
-  Buffer.add_string buf (Printf.sprintf "|b=%h|n=%d|p=" budget cnf.Cnf.nvars);
+  Buffer.add_string buf (Printf.sprintf "|n=%d|p=" cnf.Cnf.nvars);
   (match cnf.Cnf.projection with
   | None -> Buffer.add_char buf '*'
   | Some vs ->
@@ -126,12 +127,22 @@ let count ?(budget = 5000.0) ?cache ~backend (cnf : Cnf.t) : outcome option =
     match cache with
     | None -> count_uncached ~budget ~backend cnf
     | Some c -> (
-        let key = cache_key ~budget ~backend cnf in
-        match Memo.find c ~key with
-        | Some o -> o
+        let key = cache_key ~backend cnf in
+        (* a timeout answers only budgets no larger than the one it ran
+           out under; a larger budget recounts *)
+        let answers = function Counted _ -> true | Timed_out b -> budget <= b in
+        match Memo.find c ~key ~accept:answers with
+        | Some (Counted o) -> Some o
+        | Some (Timed_out _) -> None
         | None ->
             let o = count_uncached ~budget ~backend cnf in
-            Memo.add c ~key o;
+            let entry = match o with Some o -> Counted o | None -> Timed_out budget in
+            (* the new entry replaces a timeout under a smaller budget *)
+            let replace = function
+              | Counted _ -> false
+              | Timed_out b -> ( match entry with Counted _ -> true | Timed_out b' -> b' > b)
+            in
+            Memo.add c ~key entry ~replace;
             o)
   in
   (* the end-to-end latency of a count query as the caller sees it

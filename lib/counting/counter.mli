@@ -30,13 +30,14 @@ val name : backend -> string
 (** Human-readable backend name, e.g. ["exact(ddnnf)"] — for display;
     not parseable back (the serve protocol uses its own wire names). *)
 
-type cache = outcome option Mcml_exec.Memo.t
+type cache
 (** Content-addressed memo of count outcomes, keyed by the full
-    (backend, budget, CNF) content — see {!cache_key}.  Timeouts
-    ([None] outcomes) are cached too: re-asking the same backend the
-    same question under the same budget would time out again, and
-    caching the [None] saves re-burning the whole budget.  A cached
-    outcome keeps the {e original} [time] field. *)
+    (backend, CNF) content — see {!cache_key}.  A completed count
+    answers a lookup under any budget.  A timeout is cached with the
+    budget it ran out under and answers only lookups whose budget is
+    equal or smaller: re-asking under the same budget would time out
+    again, while a larger budget recounts and its outcome replaces the
+    timeout.  A cached outcome keeps the {e original} [time] field. *)
 
 val cache_create : ?capacity:int -> ?disk:Mcml_exec.Diskcache.t -> unit -> cache
 (** Bounded (FIFO-evicted, default 4096 entries) cache; its hit/miss/
@@ -45,22 +46,25 @@ val cache_create : ?capacity:int -> ?disk:Mcml_exec.Diskcache.t -> unit -> cache
     {!Mcml_exec.Diskcache}: misses consult the disk (a disk hit counts
     as a cache {e hit} and is promoted into memory) and new outcomes
     are written through, so a restarted process answers previously
-    counted keys without recounting.  Timeouts round-trip too.  The
-    caller owns the disk handle (and closes it). *)
+    counted keys without recounting.  Only completed counts reach the
+    disk; timeouts stay in memory.  The caller owns the disk handle
+    (and closes it). *)
 
 val cache_stats : cache -> Mcml_exec.Memo.stats
 
-val cache_key : budget:float -> backend:backend -> Cnf.t -> string
+val cache_key : backend:backend -> Cnf.t -> string
 (** The full serialized identity of a count query: backend (with all
-    Approx parameters, including the seed), budget, [nvars], the
-    projection set (an explicit set is distinguished from [None]), and
-    every clause literal.  Exposed for tests. *)
+    Approx parameters, including the seed), [nvars], the projection
+    set (an explicit set is distinguished from [None]), and every
+    clause literal.  The budget is not part of it.  Exposed for
+    tests. *)
 
 val count :
   ?budget:float -> ?cache:cache -> backend:backend -> Cnf.t -> outcome option
 (** [count ~backend cnf] runs the chosen counter; [None] on timeout
     ([budget] in seconds, default 5000 like the paper).  With [cache],
-    the query key is looked up first and the computed outcome stored
+    the query key is looked up first (a cached timeout answers only if
+    it ran out under at least [budget]) and the computed outcome stored
     after.  While telemetry is enabled, every call feeds the
     per-backend latency histogram [counter.count.<backend>_ms]
     (end-to-end as the caller sees it, cache lookup included). *)

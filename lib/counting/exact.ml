@@ -579,6 +579,9 @@ let run_engine ~tracing ~budget ~inprocess ~cache ~st_out (cnf0 : Cnf.t) : Bigna
   st_out := Some st;
   count_root st (Array.length cnf.Cnf.clauses)
 
+(* the deepest decision of each call, a depth rather than a time *)
+let () = Mcml_obs.Obs.declare_dimensionless "count.exact.branch_depth"
+
 let count ?budget ?(inprocess = true) ?(cache = true) (cnf : Cnf.t) : Bignat.t =
   let st_out = ref None in
   let run () = fst (run_engine ~tracing:false ~budget ~inprocess ~cache ~st_out cnf) in

@@ -68,23 +68,30 @@ let evict_oldest t =
       t.evictions <- t.evictions + 1;
       Obs.add (t.name ^ ".evictions") 1
 
-(* Memory-tier insert (no write-through); [true] if [key] was new. *)
-let insert t ~key v =
+(* Memory-tier insert (no write-through); [true] if [v] was stored:
+   [key] was new, or [replace] accepted overwriting its entry in place
+   (the entry keeps its eviction slot). *)
+let insert ?(replace = fun _ -> false) t ~key v =
   let d = t.hash key in
   locked t (fun () ->
       let bucket = Option.value (Hashtbl.find_opt t.tbl d) ~default:[] in
-      if List.mem_assoc key bucket then false
-      else begin
-        Hashtbl.replace t.tbl d ((key, v) :: bucket);
-        Queue.push (d, key) t.order;
-        t.size <- t.size + 1;
-        while t.size > t.capacity do
-          evict_oldest t
-        done;
-        true
-      end)
+      match List.assoc_opt key bucket with
+      | Some old ->
+          replace old
+          && begin
+               Hashtbl.replace t.tbl d ((key, v) :: List.remove_assoc key bucket);
+               true
+             end
+      | None ->
+          Hashtbl.replace t.tbl d ((key, v) :: bucket);
+          Queue.push (d, key) t.order;
+          t.size <- t.size + 1;
+          while t.size > t.capacity do
+            evict_oldest t
+          done;
+          true)
 
-let find t ~key =
+let find ?(accept = fun _ -> true) t ~key =
   let timed = Obs.enabled () in
   let t0 = if timed then Obs.monotonic_s () else 0.0 in
   let d = t.hash key in
@@ -93,17 +100,23 @@ let find t ~key =
         let bucket = Option.value (Hashtbl.find_opt t.tbl d) ~default:[] in
         List.assoc_opt key bucket)
   in
+  let miss () =
+    locked t (fun () -> t.misses <- t.misses + 1);
+    Obs.add (t.name ^ ".misses") 1;
+    None
+  in
   let r =
     match mem_hit with
-    | Some _ as v ->
+    | Some v when accept v ->
         locked t (fun () -> t.hits <- t.hits + 1);
         Obs.add (t.name ^ ".hits") 1;
-        v
+        mem_hit
+    | Some _ -> miss ()
     | None -> (
         (* the persistent tier is consulted outside the lock: disk I/O
            must not serialize unrelated lookups *)
         match Option.bind t.backing (fun b -> b.load key) with
-        | Some v ->
+        | Some v when accept v ->
             (* promote, and count as a hit: the answer was cached, just
                not in memory — the "misses" statistic means "had to be
                recomputed" to every consumer (and to the restart-replay
@@ -115,18 +128,15 @@ let find t ~key =
             Obs.add (t.name ^ ".hits") 1;
             Obs.add (t.name ^ ".disk_hits") 1;
             Some v
-        | None ->
-            locked t (fun () -> t.misses <- t.misses + 1);
-            Obs.add (t.name ^ ".misses") 1;
-            None)
+        | Some _ | None -> miss ())
   in
   (* lookup cost includes hashing the (potentially large) key *)
   if timed then
     Obs.observe (t.name ^ ".lookup_ms") ((Obs.monotonic_s () -. t0) *. 1000.0);
   r
 
-let add t ~key v =
-  if insert t ~key v then
+let add ?replace t ~key v =
+  if insert ?replace t ~key v then
     (* write-through outside the memo lock; the backing store is
        expected to make its own no-op-if-present decision *)
     Option.iter (fun b -> b.store key v) t.backing

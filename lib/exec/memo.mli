@@ -1,7 +1,7 @@
 (** Content-addressed, bounded, thread-safe memo cache.
 
     Entries are keyed by the {e full content string} the caller
-    serializes (for the count cache: backend, budget, and the entire
+    serializes (for the count cache: the backend and the entire
     CNF).  Internally keys are addressed by a short digest, but the
     full key is stored and compared on lookup, so a digest collision
     degrades to a miss — never to a wrong value ("hash-collision
@@ -61,10 +61,16 @@ val create :
     its short address and defaults to [Digest.string] (MD5); it is
     injectable only so tests can force collisions. *)
 
-val find : 'a t -> key:string -> 'a option
+val find : ?accept:('a -> bool) -> 'a t -> key:string -> 'a option
+(** [accept] (default: every entry) decides whether a stored entry
+    answers this lookup; an entry it rejects is returned, and counted,
+    as a miss. *)
 
-val add : 'a t -> key:string -> 'a -> unit
-(** First insert wins: adding an existing key is a no-op. *)
+val add : ?replace:('a -> bool) -> 'a t -> key:string -> 'a -> unit
+(** First insert wins: adding an existing key is a no-op, unless
+    [replace] (default: never) holds for the entry already stored; the
+    new value then overwrites it in place, keeping its eviction slot,
+    and is written through to the backing store. *)
 
 val find_or_add : 'a t -> key:string -> (unit -> 'a) -> 'a
 (** Lookup; on a miss, compute (outside the lock) and insert. *)

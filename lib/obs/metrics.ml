@@ -100,15 +100,7 @@ let to_json snap =
       ]
     in
     let stats =
-      match Obs.Histogram.stats h with
-      | None -> []
-      | Some s ->
-          [
-            ("p50_ms", Json.Float s.Obs.p50);
-            ("p90_ms", Json.Float s.Obs.p90);
-            ("p99_ms", Json.Float s.Obs.p99);
-            ("max_ms", Json.Float s.Obs.max);
-          ]
+      match Obs.Histogram.stats h with None -> [] | Some s -> Obs.stats_fields name s
     in
     (name, Json.Obj (base @ stats))
   in

@@ -145,13 +145,23 @@ module Histogram = struct
       vsum = a.vsum +. b.vsum;
     }
 
+  (* The interval's exact max is not recoverable from two snapshots;
+     the upper edge of its highest occupied bucket bounds it without
+     borrowing a larger sample from before [earlier]. *)
   let diff later earlier =
+    let buckets =
+      Array.init bucket_count (fun i -> max 0 (later.buckets.(i) - earlier.buckets.(i)))
+    in
+    let rec top i = if i < 0 || buckets.(i) > 0 then i else top (i - 1) in
+    let vmax =
+      match top (bucket_count - 1) with
+      | -1 -> neg_infinity
+      | i -> Float.min later.vmax (bucket_upper i)
+    in
     {
-      buckets =
-        Array.init bucket_count (fun i ->
-            max 0 (later.buckets.(i) - earlier.buckets.(i)));
+      buckets;
       n = max 0 (later.n - earlier.n);
-      vmax = later.vmax;
+      vmax;
       vsum = Float.max 0.0 (later.vsum -. earlier.vsum);
     }
 
@@ -210,6 +220,26 @@ let span_id_fields id parent domain pid trace remote =
         [ ("remote", Json.Obj [ ("pid", Json.Int rpid); ("id", Json.Int rid) ]) ]
     | None -> [])
 
+(* Names declared by [declare_dimensionless].  Read lock-free: the
+   JSONL encoder runs inside [flush], under the lock. *)
+let dimensionless = Atomic.make []
+
+let rec declare_dimensionless name =
+  let names = Atomic.get dimensionless in
+  if not (List.mem name names || Atomic.compare_and_set dimensionless names (name :: names))
+  then declare_dimensionless name
+
+let histogram_in_ms name = not (List.mem name (Atomic.get dimensionless))
+
+let stats_fields ?(max = true) name (s : hist_stats) =
+  let unit = if histogram_in_ms name then "_ms" else "" in
+  [
+    ("p50" ^ unit, Json.Float s.p50);
+    ("p90" ^ unit, Json.Float s.p90);
+    ("p99" ^ unit, Json.Float s.p99);
+  ]
+  @ if max then [ ("max" ^ unit, Json.Float s.max) ] else []
+
 let event_to_json = function
   | Span_start { ts; name; id; parent; domain; pid; trace; remote } ->
       Json.Obj
@@ -243,17 +273,14 @@ let event_to_json = function
         ]
   | Histogram { ts; name; stats; pid } ->
       Json.Obj
-        [
+        ([
           ("ts", Json.Float ts);
           ("kind", Json.Str "histogram");
           ("name", Json.Str name);
           ("count", Json.Int stats.count);
-          ("p50_ms", Json.Float stats.p50);
-          ("p90_ms", Json.Float stats.p90);
-          ("p99_ms", Json.Float stats.p99);
-          ("max_ms", Json.Float stats.max);
-          ("pid", Json.Int pid);
         ]
+        @ stats_fields name stats
+        @ [ ("pid", Json.Int pid) ])
 
 let event_of_json j =
   let ( let* ) = Result.bind in
@@ -357,10 +384,12 @@ let event_of_json j =
       Ok (Counter { ts; name; value; pid })
   | "histogram" ->
       let* count = int_field "count" in
-      let* p50 = float_field "p50_ms" in
-      let* p90 = float_field "p90_ms" in
-      let* p99 = float_field "p99_ms" in
-      let* max = float_field "max_ms" in
+      (* times carry [_ms] keys; dimensionless histograms bare ones *)
+      let unit = if Json.member "p50_ms" j = None then "" else "_ms" in
+      let* p50 = float_field ("p50" ^ unit) in
+      let* p90 = float_field ("p90" ^ unit) in
+      let* p99 = float_field ("p99" ^ unit) in
+      let* max = float_field ("max" ^ unit) in
       let* pid = pid_field () in
       Ok (Histogram { ts; name; stats = { count; p50; p90; p99; max }; pid })
   | k -> Error (Printf.sprintf "unknown event kind %S" k)
@@ -527,7 +556,9 @@ let fresh_trace_id () =
     splitmix64
       (Int64.add (Lazy.force trace_id_seed) (Int64.of_int ((n * 2) + 1)))
   in
-  let id = Int64.to_int (Int64.shift_right_logical z 1) in
+  (* [Int64.to_int] keeps the low 63 bits, so bit 62 lands in the sign
+     of the native int; masking with [max_int] clears it *)
+  let id = Int64.to_int z land max_int in
   if id = 0 then 1 else id
 
 let with_new_trace f =
@@ -807,8 +838,9 @@ module Console = struct
               "p50" "p90" "p99" "max";
             List.iter
               (fun (name, s) ->
-                Printf.fprintf oc "%-32s %8d %9s %9s %9s %9s\n" name s.count
-                  (dur_str s.p50) (dur_str s.p90) (dur_str s.p99) (dur_str s.max))
+                let v = if histogram_in_ms name then dur_str else Printf.sprintf "%.4g" in
+                Printf.fprintf oc "%-32s %8d %9s %9s %9s %9s\n" name s.count (v s.p50)
+                  (v s.p90) (v s.p99) (v s.max))
               hs);
         (match List.rev !counter_events with
         | [] -> ()

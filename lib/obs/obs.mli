@@ -223,6 +223,12 @@ val remote_context : trace_id:int -> pid:int -> span:int -> context
     id [trace_id], remote parent [(pid, span)].  The next {!start}
     under it emits a span with a [remote] parent reference. *)
 
+val fresh_trace_id : unit -> int
+(** A fresh trace id: positive (in [1, max_int]) and drawn from a
+    per-process splitmix64 stream, so ids from concurrently started
+    processes do not collide the way a bare counter would.  It does
+    not touch the global [Random] state. *)
+
 val with_new_trace : (unit -> 'a) -> 'a
 (** [with_new_trace f] runs [f] with a fresh 63-bit trace id installed
     — unless one is already active, in which case [f] runs unchanged
@@ -353,8 +359,11 @@ module Histogram : sig
   (** [diff later earlier] is the distribution of the observations
       recorded in [later] but not in [earlier], assuming [earlier] is
       a prefix snapshot of [later] (bucket-wise subtraction).  The
-      [max] of the result is the max of [later] — an over-approximation
-      when the true per-interval max was smaller. *)
+      exact max of the interval is not recoverable, so the [max] of the
+      result is the upper edge of its highest occupied bucket (capped
+      by [later]'s max): a bound within one bucket width of the
+      interval's own samples, never a sample from before [earlier].
+      Percentiles are clamped to that bound. *)
 
   val copy : t -> t
 
@@ -370,6 +379,24 @@ end
 val observe : string -> float -> unit
 (** [observe name v] records [v] into the global histogram [name]
     (creating it on first use) — only while {!enabled}. *)
+
+val declare_dimensionless : string -> unit
+(** Declares the named histogram one of dimensionless values (a depth,
+    a size).  Such a histogram is reported under bare
+    [p50]/[p90]/[p99]/[max] keys and printed as plain numbers; every
+    other histogram holds milliseconds and is reported under [_ms]
+    keys.  Declare at module initialisation, so that every process of
+    the program agrees — including one that only reads another's trace
+    or metrics. *)
+
+val histogram_in_ms : string -> bool
+(** Whether the named histogram holds milliseconds: every histogram
+    not declared by {!declare_dimensionless}. *)
+
+val stats_fields : ?max:bool -> string -> hist_stats -> (string * Json.t) list
+(** The percentile (and, unless [max] is [false], max) fields of the
+    named histogram's summary, keyed with [_ms] exactly when
+    {!histogram_in_ms}. *)
 
 val histogram_stats : string -> hist_stats option
 (** [None] if the histogram was never touched (or never observed). *)

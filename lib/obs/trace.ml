@@ -461,9 +461,9 @@ let render ?(per_domain = true) oc t =
         "p90" "p99" "max";
       List.iter
         (fun (name, s) ->
-          Printf.fprintf oc "%-32s %8d %9s %9s %9s %9s\n" name s.Obs.count
-            (dur_str s.Obs.p50) (dur_str s.Obs.p90) (dur_str s.Obs.p99)
-            (dur_str s.Obs.max))
+          let v = if Obs.histogram_in_ms name then dur_str else Printf.sprintf "%.4g" in
+          Printf.fprintf oc "%-32s %8d %9s %9s %9s %9s\n" name s.Obs.count (v s.Obs.p50)
+            (v s.Obs.p90) (v s.Obs.p99) (v s.Obs.max))
         hs);
   match t.counters with
   | [] -> ()

@@ -230,32 +230,46 @@ let count_positives prop ~scope ~symmetry =
   if not complete then invalid_arg "Props.count_positives: enumeration interrupted";
   List.length insts
 
-let select_scope prop ~symmetry ~threshold ~max_scope =
-  let rec go scope =
-    if scope >= max_scope then max_scope
-    else begin
-      let enough =
-        if not symmetry then
-          match prop.closed_form scope with
-          | Some c -> Bignat.compare c (Bignat.of_int threshold) >= 0
-          | None -> count_positives prop ~scope ~symmetry:false >= threshold
-        else count_positives prop ~scope ~symmetry:true >= threshold
-      in
-      if enough then scope else go (scope + 1)
-    end
+(* The paper's rule: the smallest scope with at least [threshold]
+   positives.  Plain ϕ reads its closed form where one exists; every
+   other count is the exact counter's, on the same CNF (and so under
+   the same cache key) as the Table 1 Exact column at that scope. *)
+let select_scope ?(budget = 5000.0) ?cache prop ~symmetry ~threshold ~max_scope =
+  let open Mcml_obs in
+  let positives scope =
+    match if symmetry then None else prop.closed_form scope with
+    | Some c -> c
+    | None -> (
+        match
+          Mcml_alloy.Analyzer.count ~symmetry ~budget ?cache ~backend:Mcml_counting.Counter.Exact
+            (analyzer ~scope) ~pred:prop.pred
+        with
+        | Some o -> o.Mcml_counting.Counter.count
+        | None ->
+            failwith
+              (Printf.sprintf
+                 "Props.select_scope: counting %s at scope %d (symmetry %b) timed out after %gs"
+                 prop.name scope symmetry budget))
   in
-  if not (Mcml_obs.Obs.enabled ()) then go 1
-  else begin
-    let open Mcml_obs in
-    let sp = Obs.start "props.select_scope" in
-    let scope = go 1 in
-    Obs.finish sp
-      ~attrs:
-        [
-          ("prop", Obs.Str prop.name);
-          ("symmetry", Obs.Bool symmetry);
-          ("threshold", Obs.Int threshold);
-          ("scope", Obs.Int scope);
-        ];
-    scope
-  end
+  (* the chosen scope and, unless it is the cap, the count that chose it *)
+  let rec go scope =
+    if scope >= max_scope then (max_scope, None)
+    else
+      let c = positives scope in
+      if Bignat.compare c (Bignat.of_int threshold) >= 0 then (scope, Some c)
+      else go (scope + 1)
+  in
+  let decided = ref (max_scope, None) in
+  Obs.with_span "props.select_scope"
+    ~attrs:(fun () ->
+      let scope, count = !decided in
+      [
+        ("prop", Obs.Str prop.name);
+        ("symmetry", Obs.Bool symmetry);
+        ("threshold", Obs.Int threshold);
+        ("scope", Obs.Int scope);
+      ]
+      @ Option.fold ~none:[] ~some:(fun c -> [ ("count", Obs.Str (Bignat.to_string c)) ]) count)
+    (fun () ->
+      decided := go 1;
+      fst !decided)

@@ -43,10 +43,31 @@ val analyzer : scope:int -> Mcml_alloy.Analyzer.t
 
 val count_positives : t -> scope:int -> symmetry:bool -> int
 (** Number of positive instances by exhaustive enumeration (the
-    "Valid-SymBr (Alloy)" column of Table 1 when [symmetry]). *)
+    "Valid-SymBr (Alloy)" column of Table 1 when [symmetry]).  Kept as
+    the enumeration oracle that tests hold {!select_scope} and the
+    counters to; nothing on a table's path calls it. *)
 
-val select_scope : t -> symmetry:bool -> threshold:int -> max_scope:int -> int
+val select_scope :
+  ?budget:float ->
+  ?cache:Mcml_counting.Counter.cache ->
+  t ->
+  symmetry:bool ->
+  threshold:int ->
+  max_scope:int ->
+  int
 (** Smallest scope (≤ [max_scope]) with at least [threshold] positive
     solutions — the paper's scope-selection rule (10 000 with symmetry
     breaking, 90 000 without; ours parameterizes the threshold).
-    Returns [max_scope] when no smaller scope qualifies. *)
+    Returns [max_scope] when no smaller scope qualifies; [max_scope]
+    itself is never counted.
+
+    It decides by counting, not by enumerating: a scope's positives
+    are the closed form when [symmetry] is off and one exists, and
+    otherwise the exact counter's count
+    ({!Mcml_counting.Counter.Exact}) of
+    [Mcml_alloy.Analyzer.cnf ~symmetry (analyzer ~scope)] under
+    [budget] (seconds, default 5000) through [cache].  That CNF is the
+    one a table's exact column counts at the chosen scope, so with a
+    shared [cache] that column's count is a hit.
+    @raise Failure naming the property and scope when a count times
+    out: a timeout must never pass for "too few positives". *)

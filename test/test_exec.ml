@@ -343,19 +343,62 @@ let counter_cache_roundtrip () =
 let counter_cache_key_distinguishes () =
   let open Mcml_counting in
   let cnf = small_cnf () in
-  let k b = Counter.cache_key ~budget:30.0 ~backend:b cnf in
+  let k b = Counter.cache_key ~backend:b cnf in
   let approx seed = Counter.Approx { Approx.default with Approx.seed } in
   Alcotest.(check bool)
     "backends differ" false
     (k Counter.Exact = k (approx 1));
   Alcotest.(check bool) "seeds differ" false (k (approx 1) = k (approx 2));
   Alcotest.(check bool)
-    "budgets differ" false
-    (Counter.cache_key ~budget:30.0 ~backend:Counter.Exact cnf
-    = Counter.cache_key ~budget:31.0 ~backend:Counter.Exact cnf);
+    "CNFs differ" false
+    (k Counter.Exact
+    = Counter.cache_key ~backend:Counter.Exact
+        (Mcml_alloy.Analyzer.cnf (Props.analyzer ~scope:3) ~pred:"Irreflexive"));
   Alcotest.(check bool)
     "same query, same key" true
-    (k Counter.Exact = Counter.cache_key ~budget:30.0 ~backend:Counter.Exact cnf)
+    (k Counter.Exact = Counter.cache_key ~backend:Counter.Exact cnf)
+
+(* A completed count answers every budget; a timeout answers only
+   budgets no larger than the one it ran out under.  A negative budget
+   is already expired when the engine checks it, so those counts time
+   out deterministically. *)
+let counter_cache_budgets () =
+  let open Mcml_counting in
+  let cnf = small_cnf () in
+  let cache = Counter.cache_create () in
+  let count budget = Counter.count ~budget ~cache ~backend:Counter.Exact cnf in
+  let stats () =
+    let s = Counter.cache_stats cache in
+    (s.Mcml_exec.Memo.hits, s.Mcml_exec.Memo.misses)
+  in
+  let pair = Alcotest.(pair int int) in
+  check Alcotest.bool "expired budget times out" true (count (-1.0) = None);
+  check Alcotest.bool "smaller budget: cached timeout" true (count (-2.0) = None);
+  check pair "(hits, misses)" (1, 1) (stats ());
+  check Alcotest.bool "larger budget recounts, times out again" true (count (-0.5) = None);
+  check pair "larger budget missed" (1, 2) (stats ());
+  check Alcotest.bool "the later timeout replaced the earlier" true (count (-0.75) = None);
+  check pair "answered by the -0.5 timeout" (2, 2) (stats ());
+  let o = count 30.0 in
+  check Alcotest.bool "a real budget counts" true (o <> None);
+  check pair "counted on a miss" (2, 3) (stats ());
+  check Alcotest.bool "the count replaced the timeout" true (count 31.0 = o);
+  check Alcotest.bool "a count answers even an expired budget" true (count (-1.0) = o);
+  check pair "both hits" (4, 3) (stats ());
+  check Alcotest.int "one entry" 1 (Counter.cache_stats cache).Mcml_exec.Memo.size
+
+let memo_accept_and_replace () =
+  let m = Memo.create ~name:"test.memo.replace" () in
+  Memo.add m ~key:"k" 1;
+  check Alcotest.(option int) "accepted" (Some 1) (Memo.find m ~key:"k" ~accept:(fun v -> v > 0));
+  check Alcotest.(option int) "rejected is a miss" None (Memo.find m ~key:"k" ~accept:(fun v -> v > 1));
+  Memo.add m ~key:"k" 2 ~replace:(fun old -> old > 5);
+  check Alcotest.(option int) "replace declined" (Some 1) (Memo.find m ~key:"k");
+  Memo.add m ~key:"k" 2 ~replace:(fun old -> old < 2);
+  check Alcotest.(option int) "replaced" (Some 2) (Memo.find m ~key:"k");
+  let s = Memo.stats m in
+  check Alcotest.(pair int int) "(hits, misses)" (3, 1) (s.Memo.hits, s.Memo.misses);
+  check Alcotest.int "replacing keeps one entry" 1 s.Memo.size
 
 (* --- jobs=1 ≡ jobs=4 on a small Table-1 slice --------------------------- *)
 
@@ -515,6 +558,7 @@ let () =
           Alcotest.test_case "FIFO eviction" `Quick memo_eviction;
           Alcotest.test_case "collision safety" `Quick memo_collision_safety;
           Alcotest.test_case "first insert wins" `Quick memo_add_first_wins;
+          Alcotest.test_case "accept and replace" `Quick memo_accept_and_replace;
         ] );
       ( "diskcache",
         [
@@ -529,6 +573,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick counter_cache_roundtrip;
           Alcotest.test_case "key distinguishes queries" `Quick counter_cache_key_distinguishes;
+          Alcotest.test_case "budget-free key, budgeted timeouts" `Quick counter_cache_budgets;
         ] );
       ( "determinism",
         [ Alcotest.test_case "jobs=1 = jobs=4" `Slow parallel_equivalence ] );

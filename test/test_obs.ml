@@ -326,7 +326,50 @@ let hist_merge_diff () =
   check Alcotest.int "diff count" 25 (H.count d);
   check Alcotest.bool "diff p50 is in the new range" true (H.percentile d 0.5 > 900.0);
   (* the copy is independent of the original *)
-  check Alcotest.int "copy unaffected" 50 (H.count snap)
+  check Alcotest.int "copy unaffected" 50 (H.count snap);
+  (* a diff's max bounds its own samples, not an earlier interval's *)
+  let h = H.create () in
+  H.observe h 500.0;
+  let snap = H.copy h in
+  for i = 1 to 10 do
+    H.observe h (float_of_int i)
+  done;
+  let d = H.diff h snap in
+  let st = Option.get (H.stats d) in
+  check Alcotest.bool "diff max within one bucket of 10" true
+    (st.Obs.max >= 10.0 && st.Obs.max <= 10.0 *. H.growth);
+  check Alcotest.bool "diff p99 not clamped to the earlier max" true (st.Obs.p99 <= st.Obs.max);
+  check Alcotest.bool "empty diff has no stats" true (H.stats (H.diff h (H.copy h)) = None)
+
+(* dimensionless histograms are reported without [_ms] keys, and their
+   events still parse back *)
+let hist_units () =
+  with_clean_obs @@ fun () ->
+  let sink, events = recording () in
+  Obs.set_sink sink;
+  Obs.declare_dimensionless "test.depth";
+  Obs.observe "test.depth" 7.0;
+  Obs.observe "test.lat_ms" 2.0;
+  check Alcotest.bool "count histogram is not in ms" false (Obs.histogram_in_ms "test.depth");
+  check Alcotest.bool "latency histogram is in ms" true (Obs.histogram_in_ms "test.lat_ms");
+  let keys name =
+    List.map fst (Obs.stats_fields name (Option.get (Obs.histogram_stats name)))
+  in
+  check Alcotest.(list string) "bare keys" [ "p50"; "p90"; "p99"; "max" ] (keys "test.depth");
+  check Alcotest.(list string) "ms keys" [ "p50_ms"; "p90_ms"; "p99_ms"; "max_ms" ]
+    (keys "test.lat_ms");
+  Obs.flush ();
+  let depth =
+    List.find_map
+      (function Obs.Histogram { name = "test.depth"; _ } as e -> Some e | _ -> None)
+      !events
+  in
+  match depth with
+  | None -> Alcotest.fail "no histogram event for test.depth"
+  | Some e ->
+      let j = Obs.event_to_json e in
+      check Alcotest.bool "event has no p50_ms" true (Json.member "p50_ms" j = None);
+      check Alcotest.bool "event round-trips" true (Obs.event_of_json j = Ok e)
 
 let hist_sum () =
   let module H = Obs.Histogram in
@@ -719,6 +762,14 @@ let trace_propagation () =
   in
   check Alcotest.bool "fresh ids are distinct" true (tid_of () <> tid_of ())
 
+(* every bit pattern of the splitmix output must map to a positive
+   id: the wire carries trace ids as positive 63-bit ints *)
+let trace_ids_positive () =
+  for _ = 1 to 200_000 do
+    let id = Obs.fresh_trace_id () in
+    if id <= 0 then Alcotest.failf "non-positive trace id %d" id
+  done
+
 let trace_remote_adoption () =
   with_clean_obs @@ fun () ->
   let sink, events = recording () in
@@ -1055,6 +1106,7 @@ let () =
           Alcotest.test_case "bucket boundaries" `Quick hist_bucket_boundaries;
           Alcotest.test_case "percentiles" `Quick hist_percentiles;
           Alcotest.test_case "merge/diff/copy" `Quick hist_merge_diff;
+          Alcotest.test_case "units" `Quick hist_units;
           Alcotest.test_case "sum" `Quick hist_sum;
           Alcotest.test_case "observe and flush" `Quick observe_and_flush_histograms;
         ] );
@@ -1071,6 +1123,7 @@ let () =
       ( "tracing",
         [
           Alcotest.test_case "propagation" `Quick trace_propagation;
+          Alcotest.test_case "trace ids are positive" `Quick trace_ids_positive;
           Alcotest.test_case "remote adoption" `Quick trace_remote_adoption;
           Alcotest.test_case "cross-process merge" `Quick trace_merge_cross_process;
           Alcotest.test_case "dangling remote parent" `Quick trace_merge_dangling_remote;

@@ -113,6 +113,63 @@ let select_scope_respects_threshold () =
   check Alcotest.int "cap respected" 2
     (Props.select_scope prop ~symmetry:false ~threshold:1_000_000 ~max_scope:2)
 
+(* The rule scope selection used to follow: enumerate every positive
+   and compare the total with the threshold (plain ϕ reads its closed
+   form).  It is kept here only as the oracle the counted selection is
+   held to; each (property, symmetry, scope) is enumerated once. *)
+let enumerated_positives = Hashtbl.create 64
+
+let enumerated_scope prop ~symmetry ~threshold ~max_scope =
+  let positives scope =
+    let key = (prop.Props.name, symmetry, scope) in
+    match Hashtbl.find_opt enumerated_positives key with
+    | Some c -> c
+    | None ->
+        let c =
+          match if symmetry then None else prop.Props.closed_form scope with
+          | Some c -> c
+          | None -> Bignat.of_int (Props.count_positives prop ~scope ~symmetry)
+        in
+        Hashtbl.replace enumerated_positives key c;
+        c
+  in
+  let rec go scope =
+    if scope >= max_scope then max_scope
+    else if Bignat.compare (positives scope) (Bignat.of_int threshold) >= 0 then scope
+    else go (scope + 1)
+  in
+  go 1
+
+let select_scope_matches_enumeration () =
+  let cache = Mcml_counting.Counter.cache_create () in
+  List.iter
+    (fun prop ->
+      List.iter
+        (fun symmetry ->
+          List.iter
+            (fun threshold ->
+              check Alcotest.int
+                (Printf.sprintf "%s symmetry=%b threshold=%d" prop.Props.name symmetry threshold)
+                (enumerated_scope prop ~symmetry ~threshold ~max_scope:5)
+                (Props.select_scope ~cache prop ~symmetry ~threshold ~max_scope:5))
+            [ 20; 150; 800 ])
+        [ true; false ])
+    Props.all
+
+(* a timed-out count must never pass for "too few positives" *)
+let select_scope_timeout_raises () =
+  let prop = Props.find_exn "PartialOrder" in
+  match Props.select_scope ~budget:(-1.0) prop ~symmetry:true ~threshold:150 ~max_scope:5 with
+  | scope -> Alcotest.failf "returned scope %d after a timed-out count" scope
+  | exception Failure msg ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec at i = i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1)) in
+        at 0
+      in
+      check Alcotest.bool ("names the property: " ^ msg) true (mentions "PartialOrder");
+      check Alcotest.bool ("names the scope: " ^ msg) true (mentions "scope 1")
+
 let specific_closed_forms () =
   let expect name scope value =
     let prop = Props.find_exn name in
@@ -150,6 +207,10 @@ let () =
         [
           Alcotest.test_case "symmetry reduces counts" `Slow symmetry_reduces_counts;
           Alcotest.test_case "select_scope thresholds" `Quick select_scope_respects_threshold;
+          Alcotest.test_case "select_scope = enumeration-based selection" `Quick
+            select_scope_matches_enumeration;
+          Alcotest.test_case "select_scope raises on a timed-out count" `Quick
+            select_scope_timeout_raises;
           Alcotest.test_case "paper Table 1 exact counts" `Quick specific_closed_forms;
         ] );
     ]

@@ -401,6 +401,32 @@ let slo_counters_accumulate () =
       | Some s -> check Alcotest.int "deadline histogram count" 2 s.Mcml_obs.Obs.count
       | None -> Alcotest.fail "serve.deadline_ms histogram missing")
 
+(* A deadline clamps each request's budget to a fresh value, so the
+   count cache must not key on the budget: repeated deadlined requests
+   for one count are answered from the cache. *)
+let deadlined_requests_hit_cache () =
+  with_server (fun srv ->
+      let conn = connect srv in
+      let line id =
+        Printf.sprintf
+          "{\"id\":%d,\"kind\":\"count\",\"prop\":\"PreOrder\",\"scope\":4,\"deadline_ms\":60000}"
+          id
+      in
+      let counts =
+        List.map
+          (fun id ->
+            send conn (line id);
+            Json.to_string (result_member (recv conn) "count"))
+          [ 1; 2; 3; 4 ]
+      in
+      send conn "{\"id\":5,\"kind\":\"stats\"}";
+      let cache = result_member (recv conn) "cache" in
+      finish conn;
+      check Alcotest.(list string) "one answer" [ "\"355\"" ] (List.sort_uniq compare counts);
+      let field f = Json.to_string (Option.get (Json.member f cache)) in
+      check Alcotest.(list string) "(hits, misses, size)" [ "3"; "1"; "1" ]
+        [ field "hits"; field "misses"; field "size" ])
+
 let overload_rejections_counted () =
   let module Obs = Mcml_obs.Obs in
   Obs.set_sink (Obs.stats_only ());
@@ -489,6 +515,8 @@ let () =
           Alcotest.test_case "metrics request scrapes the registry" `Quick
             metrics_request_scrapes_registry;
           Alcotest.test_case "SLO counters" `Quick slo_counters_accumulate;
+          Alcotest.test_case "deadlined requests hit the count cache" `Quick
+            deadlined_requests_hit_cache;
           Alcotest.test_case "overload rejections counted" `Quick
             overload_rejections_counted;
         ] );
