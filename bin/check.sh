@@ -174,6 +174,24 @@ grep -q '"speedup_vs_jobs1":' "$j4_json" || {
 }
 rm -f "$j1_out" "$j4_out" "$j1_json" "$j4_json"
 
+echo "== parallel training: Tables 2 and 4 at jobs=1 vs jobs=4 must be identical =="
+# the split ratios train on separate pool domains; a scratch buffer of
+# the learners that leaked to module level would be shared between them
+# and change the printed metrics
+for t in 2 4; do
+  m1="$(mktemp /tmp/mcml_exp${t}_j1.XXXXXX.txt)"
+  m4="$(mktemp /tmp/mcml_exp${t}_j4.XXXXXX.txt)"
+  "$MCML" exp "$t" --jobs 1 >"$m1"
+  "$MCML" exp "$t" --jobs 4 >"$m4"
+  [ -s "$m1" ] || { echo "FAIL: exp $t printed nothing" >&2; exit 1; }
+  if ! diff "$m1" "$m4"; then
+    echo "FAIL: table $t differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+  fi
+  rm -f "$m1" "$m4"
+done
+echo "   tables 2 and 4 identical at --jobs 1 and --jobs 4"
+
 echo "== bench regression gate vs committed baseline =="
 # same settings the committed BENCH_baseline.json was generated with:
 # --tables --jobs 1, default seed and budget

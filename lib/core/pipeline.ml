@@ -83,24 +83,28 @@ let generate_core (prop : Props.t) (cfg : data_config) : generated =
   }
 
 let generate (prop : Props.t) (cfg : data_config) : generated =
-  if not (Mcml_obs.Obs.enabled ()) then generate_core prop cfg
-  else begin
-    let open Mcml_obs in
-    let sp = Obs.start "pipeline.generate" in
-    let g = generate_core prop cfg in
-    Obs.add "pipeline.generates" 1;
-    Obs.finish sp
-      ~attrs:
-        [
-          ("prop", Obs.Str prop.Props.name);
-          ("scope", Obs.Int cfg.scope);
-          ("symmetry", Obs.Bool cfg.symmetry);
-          ("positives", Obs.Int g.num_positive_solutions);
-          ("samples", Obs.Int (Mcml_ml.Dataset.size g.dataset));
-          ("positives_complete", Obs.Bool g.positives_complete);
-        ];
-    g
-  end
+  let open Mcml_obs in
+  let generated = ref None in
+  Obs.with_span "pipeline.generate"
+    ~attrs:(fun () ->
+      [
+        ("prop", Obs.Str prop.Props.name);
+        ("scope", Obs.Int cfg.scope);
+        ("symmetry", Obs.Bool cfg.symmetry);
+      ]
+      @ Option.fold ~none:[]
+          ~some:(fun g ->
+            [
+              ("positives", Obs.Int g.num_positive_solutions);
+              ("samples", Obs.Int (Mcml_ml.Dataset.size g.dataset));
+              ("positives_complete", Obs.Bool g.positives_complete);
+            ])
+          !generated)
+    (fun () ->
+      let g = generate_core prop cfg in
+      Obs.add "pipeline.generates" 1;
+      generated := Some g;
+      g)
 
 let ground_truth (prop : Props.t) ~scope ~symmetry =
   let analyzer = Props.analyzer ~scope in

@@ -88,3 +88,20 @@ let with_class_ratio rng ~pos_weight ~neg_weight ~size:total t =
 
 let subset t indices =
   { t with samples = Array.of_list (List.map (fun i -> t.samples.(i)) indices) }
+
+let partition t idx ~feature ~true_count =
+  let on_true = Array.make true_count 0 in
+  let on_false = Array.make (Array.length idx - true_count) 0 in
+  let nt = ref 0 and nf = ref 0 in
+  Array.iter
+    (fun i ->
+      if t.samples.(i).features.(feature) then begin
+        on_true.(!nt) <- i;
+        incr nt
+      end
+      else begin
+        on_false.(!nf) <- i;
+        incr nf
+      end)
+    idx;
+  (on_true, on_false)

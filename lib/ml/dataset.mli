@@ -42,3 +42,9 @@ val with_class_ratio :
     the class ratio [pos_weight:neg_weight] — the Table 9 workload. *)
 
 val subset : t -> int list -> t
+
+val partition : t -> int array -> feature:int -> true_count:int -> int array * int array
+(** [partition t idx ~feature ~true_count] splits the sample indices
+    [idx] by the value of [feature], keeping their order on both sides;
+    [true_count] is the number of them with the feature set (the tree
+    learners have it from their split statistics). *)

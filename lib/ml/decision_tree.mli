@@ -34,8 +34,13 @@ val train :
   Dataset.t ->
   t
 (** [train ds] grows a tree.  [weights] (parallel to [ds.samples])
-    default to 1; [rng] is only consulted when [max_features] is set.
-    An empty dataset yields a single [Leaf false]. *)
+    default to 1; [rng] draws the candidate features of each split when
+    [max_features] is set, and is not consulted otherwise.  An empty
+    dataset yields a single [Leaf false].
+
+    @raise Invalid_argument if [weights] has the wrong length, if
+    [max_features = Some k] with [k < 1], or if [max_features] is set
+    and no [rng] is given. *)
 
 val predict : t -> bool array -> bool
 

@@ -23,14 +23,21 @@ let adam_step st ~lr (theta : float array) (grad : float array) =
   st.t <- st.t + 1;
   let t = float_of_int st.t in
   let bc1 = 1.0 -. (beta1 ** t) and bc2 = 1.0 -. (beta2 ** t) in
-  Array.iteri
-    (fun i g ->
-      st.m.(i) <- (beta1 *. st.m.(i)) +. ((1.0 -. beta1) *. g);
-      st.v.(i) <- (beta2 *. st.v.(i)) +. ((1.0 -. beta2) *. g *. g);
-      let mhat = st.m.(i) /. bc1 and vhat = st.v.(i) /. bc2 in
-      theta.(i) <- theta.(i) -. (lr *. mhat /. (sqrt vhat +. eps)))
-    grad
+  for i = 0 to Array.length grad - 1 do
+    let g = grad.(i) in
+    st.m.(i) <- (beta1 *. st.m.(i)) +. ((1.0 -. beta1) *. g);
+    st.v.(i) <- (beta2 *. st.v.(i)) +. ((1.0 -. beta2) *. g *. g);
+    let mhat = st.m.(i) /. bc1 and vhat = st.v.(i) /. bc2 in
+    theta.(i) <- theta.(i) -. (lr *. mhat /. (sqrt vhat +. eps))
+  done
 
+(* Training works on the flat parameter vector Adam updates: w1 (h*k,
+   row-major) ++ b1 (h) ++ w2 (h) ++ b2.  Each sample's set features are
+   listed once, in ascending order, and the forward and backward passes
+   loop over that list only; the forward sums therefore add the same
+   terms in the same order as a dense loop over all features, and
+   test_ml checks the trained network bit for bit against a dense
+   reference trainer. *)
 let train ?(params = default_params) ~rng (ds : Dataset.t) =
   let n = Dataset.size ds in
   if n = 0 then invalid_arg "Mlp.train: empty dataset";
@@ -40,31 +47,26 @@ let train ?(params = default_params) ~rng (ds : Dataset.t) =
     let u1 = Float.max 1e-12 (Splitmix.float rng) and u2 = Splitmix.float rng in
     sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
   in
-  let scale1 = sqrt (2.0 /. float_of_int k) in
-  let w1 = Array.init h (fun _ -> Array.init k (fun _ -> gauss () *. scale1)) in
-  let b1 = Array.make h 0.0 in
-  let w2 = Array.init h (fun _ -> gauss () *. sqrt (2.0 /. float_of_int h)) in
-  let b2 = ref 0.0 in
-  (* flatten all parameters for Adam: w1 (h*k) ++ b1 (h) ++ w2 (h) ++ b2 *)
-  let nparams = (h * k) + h + h + 1 in
-  let grads = Array.make nparams 0.0 in
+  let b1_at = h * k in
+  let w2_at = b1_at + h in
+  let b2_at = w2_at + h in
+  let nparams = b2_at + 1 in
   let theta = Array.make nparams 0.0 in
-  let pack () =
-    for i = 0 to h - 1 do
-      Array.blit w1.(i) 0 theta (i * k) k
-    done;
-    Array.blit b1 0 theta (h * k) h;
-    Array.blit w2 0 theta ((h * k) + h) h;
-    theta.((h * k) + h + h) <- !b2
+  let scale1 = sqrt (2.0 /. float_of_int k) in
+  for i = 0 to b1_at - 1 do
+    theta.(i) <- gauss () *. scale1
+  done;
+  for i = 0 to h - 1 do
+    theta.(w2_at + i) <- gauss () *. sqrt (2.0 /. float_of_int h)
+  done;
+  let active =
+    Array.map
+      (fun s ->
+        let x = s.Dataset.features in
+        Array.of_list (List.filter (fun f -> x.(f)) (List.init k Fun.id)))
+      ds.Dataset.samples
   in
-  let unpack () =
-    for i = 0 to h - 1 do
-      Array.blit theta (i * k) w1.(i) 0 k
-    done;
-    Array.blit theta (h * k) b1 0 h;
-    Array.blit theta ((h * k) + h) w2 0 h;
-    b2 := theta.((h * k) + h + h)
-  in
+  let grads = Array.make nparams 0.0 in
   let st = adam_make nparams in
   let hidden_pre = Array.make h 0.0 in
   let hidden_act = Array.make h 0.0 in
@@ -83,46 +85,48 @@ let train ?(params = default_params) ~rng (ds : Dataset.t) =
       Array.fill grads 0 nparams 0.0;
       let bsize = float_of_int (batch_end - !idx) in
       for s = !idx to batch_end - 1 do
-        let sample = ds.Dataset.samples.(order.(s)) in
-        let x = sample.Dataset.features in
-        let y = if sample.Dataset.label then 1.0 else 0.0 in
+        let on = active.(order.(s)) in
+        let y = if ds.Dataset.samples.(order.(s)).Dataset.label then 1.0 else 0.0 in
         (* forward *)
         for i = 0 to h - 1 do
-          let acc = ref b1.(i) in
-          let row = w1.(i) in
-          for f = 0 to k - 1 do
-            if x.(f) then acc := !acc +. row.(f)
+          let acc = ref theta.(b1_at + i) in
+          let base = i * k in
+          for j = 0 to Array.length on - 1 do
+            acc := !acc +. theta.(base + on.(j))
           done;
           hidden_pre.(i) <- !acc;
           hidden_act.(i) <- Float.max 0.0 !acc
         done;
-        let out = ref !b2 in
+        let out = ref theta.(b2_at) in
         for i = 0 to h - 1 do
-          out := !out +. (w2.(i) *. hidden_act.(i))
+          out := !out +. (theta.(w2_at + i) *. hidden_act.(i))
         done;
         let p = sigmoid !out in
         (* backward: dL/dout = p - y (logistic loss) *)
         let dout = (p -. y) /. bsize in
-        grads.((h * k) + h + h) <- grads.((h * k) + h + h) +. dout;
+        grads.(b2_at) <- grads.(b2_at) +. dout;
         for i = 0 to h - 1 do
-          grads.((h * k) + h + i) <- grads.((h * k) + h + i) +. (dout *. hidden_act.(i));
+          grads.(w2_at + i) <- grads.(w2_at + i) +. (dout *. hidden_act.(i));
           if hidden_pre.(i) > 0.0 then begin
-            let dh = dout *. w2.(i) in
-            grads.((h * k) + i) <- grads.((h * k) + i) +. dh;
+            let dh = dout *. theta.(w2_at + i) in
+            grads.(b1_at + i) <- grads.(b1_at + i) +. dh;
             let base = i * k in
-            for f = 0 to k - 1 do
-              if x.(f) then grads.(base + f) <- grads.(base + f) +. dh
+            for j = 0 to Array.length on - 1 do
+              grads.(base + on.(j)) <- grads.(base + on.(j)) +. dh
             done
           end
         done
       done;
-      pack ();
       adam_step st ~lr:params.learning_rate theta grads;
-      unpack ();
       idx := batch_end
     done
   done;
-  { w1; b1; w2; b2 = !b2 }
+  {
+    w1 = Array.init h (fun i -> Array.sub theta (i * k) k);
+    b1 = Array.sub theta b1_at h;
+    w2 = Array.sub theta w2_at h;
+    b2 = theta.(b2_at);
+  }
 
 let probability t features =
   let h = Array.length t.w1 in
@@ -130,7 +134,9 @@ let probability t features =
   for i = 0 to h - 1 do
     let acc = ref t.b1.(i) in
     let row = t.w1.(i) in
-    Array.iteri (fun f v -> if v then acc := !acc +. row.(f)) features;
+    for f = 0 to Array.length features - 1 do
+      if features.(f) then acc := !acc +. row.(f)
+    done;
     let a = Float.max 0.0 !acc in
     acc_out := !acc_out +. (t.w2.(i) *. a)
   done;

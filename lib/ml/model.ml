@@ -63,14 +63,14 @@ let train_attrs kind (ds : Dataset.t) (m : t) =
         ]
 
 let instrumented kind ds f =
-  if not (Obs.enabled ()) then f ()
-  else begin
-    let sp = Obs.start "ml.train" in
-    let m = f () in
-    Obs.add "ml.trains" 1;
-    Obs.finish sp ~attrs:(train_attrs kind ds m);
-    m
-  end
+  let trained = ref None in
+  Obs.with_span "ml.train"
+    ~attrs:(fun () -> Option.fold ~none:[] ~some:(train_attrs kind ds) !trained)
+    (fun () ->
+      let m = f () in
+      Obs.add "ml.trains" 1;
+      trained := Some m;
+      m)
 
 let train_core ~sizes ~seed kind ds =
   let rng = Splitmix.create seed in
