@@ -47,7 +47,7 @@ let budget_arg =
   Arg.(
     value
     & opt float 60.0
-    & info [ "budget" ] ~docv:"SECONDS" ~doc:"Per-count timeout (the paper used 5000).")
+    & info [ "budget" ] ~docv:"SECONDS" ~doc:"Per-count timeout (the paper used 5000); also bounds dataset generation.")
 
 let backend_arg =
   let parse s =
@@ -65,6 +65,17 @@ let backend_arg =
 
 let default_scope prop ~symmetry =
   Experiments.scope_for Experiments.fast prop ~symmetry
+
+(* The dataset of train-eval, diff and stats: every solution is
+   enumerated, so an explicit large scope can take far longer than the
+   counts; [budget] bounds it and running out is a clean exit 1. *)
+let generate_dataset ~budget prop ~scope ~symmetry ~seed =
+  try Pipeline.generate ~budget prop { Pipeline.scope; symmetry; max_positives = 3000; seed }
+  with Pipeline.Timeout ->
+    Printf.eprintf
+      "mcml: enumerating the positives of %s at scope %d took longer than the budget (%gs)\n"
+      prop.Props.name scope budget;
+    exit 1
 
 (* --- telemetry flags (shared by every subcommand) ------------------------ *)
 
@@ -326,10 +337,7 @@ let train_eval_cmd =
       prop.Props.name scope
       (if symmetry then "symmetry-broken" else "unrestricted")
       (Mcml_ml.Model.name_of model) fraction;
-    let data =
-      Pipeline.generate prop
-        { Pipeline.scope; symmetry; max_positives = 3000; seed }
-    in
+    let data = generate_dataset ~budget prop ~scope ~symmetry ~seed in
     Printf.printf "dataset: %d samples (%d positive solutions%s)\n%!"
       (Mcml_ml.Dataset.size data.Pipeline.dataset)
       data.Pipeline.num_positive_solutions
@@ -372,9 +380,7 @@ let train_eval_cmd =
 let diff_cmd =
   let run () prop scope symmetry seed budget backend =
     let scope = Option.value scope ~default:(default_scope prop ~symmetry) in
-    let data =
-      Pipeline.generate prop { Pipeline.scope; symmetry; max_positives = 3000; seed }
-    in
+    let data = generate_dataset ~budget prop ~scope ~symmetry ~seed in
     let rng = Splitmix.create (seed + 29) in
     let train, _ = Mcml_ml.Dataset.split rng ~train_fraction:0.5 data.Pipeline.dataset in
     let t1 = Option.get (Mcml_ml.Model.train_tree ~seed:(seed + 1) train).Mcml_ml.Model.tree in
@@ -530,9 +536,7 @@ let stats_cmd =
       prop.Props.name scope
       (if symmetry then "symmetry-broken" else "full space")
       (Mcml_counting.Counter.name backend);
-    let data =
-      Pipeline.generate prop { Pipeline.scope; symmetry; max_positives = 3000; seed }
-    in
+    let data = generate_dataset ~budget prop ~scope ~symmetry ~seed in
     let rng = Splitmix.create (seed + 5) in
     let train, test =
       Mcml_ml.Dataset.split rng ~train_fraction:0.75 data.Pipeline.dataset

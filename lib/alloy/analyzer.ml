@@ -48,38 +48,39 @@ let formula ?(negate = false) ?(symmetry = false) t ~pred =
 let cnf ?negate ?symmetry t ~pred =
   Tseitin.cnf_of ~nprimary:(nprimary t) (formula ?negate ?symmetry t ~pred)
 
-let enumerate_core ?symmetry ?limit t ~pred =
-  let c = cnf ?symmetry t ~pred in
-  let outcome = Mcml_sat.Enumerate.run ?limit c in
-  let instances =
-    List.rev_map
-      (fun bits -> Instance.of_bits t.spec ~scope:t.scope bits)
-      outcome.Mcml_sat.Enumerate.models
-  in
-  (instances, outcome.Mcml_sat.Enumerate.complete)
+let iter_solutions ?symmetry ?limit ?budget t ~pred f =
+  let open Mcml_obs in
+  let n = ref 0 and complete = ref false in
+  let t0 = Obs.monotonic_s () in
+  Obs.with_span "alloy.enumerate"
+    ~attrs:(fun () ->
+      let dt = Obs.monotonic_s () -. t0 in
+      [
+        ("pred", Obs.Str pred);
+        ("scope", Obs.Int t.scope);
+        ("symmetry", Obs.Bool (Option.value symmetry ~default:false));
+        ("solutions", Obs.Int !n);
+        ("complete", Obs.Bool !complete);
+        ("solutions_per_sec", Obs.Float (if dt > 0.0 then float_of_int !n /. dt else 0.0));
+      ])
+    (fun () ->
+      let outcome =
+        Mcml_sat.Enumerate.run ?limit ?budget ~keep_models:false
+          ~on_model:(fun bits ->
+            incr n;
+            f bits)
+          (cnf ?symmetry t ~pred)
+      in
+      complete := outcome.Mcml_sat.Enumerate.complete);
+  !complete
 
 let enumerate ?symmetry ?limit t ~pred =
-  if not (Mcml_obs.Obs.enabled ()) then enumerate_core ?symmetry ?limit t ~pred
-  else begin
-    let open Mcml_obs in
-    let sp = Obs.start "alloy.enumerate" in
-    let t0 = Obs.monotonic_s () in
-    let ((instances, complete) as r) = enumerate_core ?symmetry ?limit t ~pred in
-    let n = List.length instances in
-    let dt = Obs.monotonic_s () -. t0 in
-    Obs.finish sp
-      ~attrs:
-        [
-          ("pred", Obs.Str pred);
-          ("scope", Obs.Int t.scope);
-          ("symmetry", Obs.Bool (Option.value symmetry ~default:false));
-          ("solutions", Obs.Int n);
-          ("blocking_clauses", Obs.Int n);
-          ("complete", Obs.Bool complete);
-          ("solutions_per_sec", Obs.Float (if dt > 0.0 then float_of_int n /. dt else 0.0));
-        ];
-    r
-  end
+  let instances = ref [] in
+  let complete =
+    iter_solutions ?symmetry ?limit t ~pred (fun bits ->
+        instances := Instance.of_bits t.spec ~scope:t.scope bits :: !instances)
+  in
+  (List.rev !instances, complete)
 
 let evaluate t ~pred inst =
   if inst.Instance.scope <> t.scope then

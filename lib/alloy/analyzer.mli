@@ -5,7 +5,8 @@
     exact scope, into (a) a hash-consed propositional formula over the
     primary variables, (b) a CNF (via the count-preserving Tseitin
     transform) whose projection set is the primary variables, and it
-    (c) enumerates all solutions with the CDCL backend and (d) counts
+    (c) enumerates all solutions with the CDCL backend (blocking-free,
+    in lexicographic order of the primary variables) and (d) counts
     them with a chosen model counter.  Symmetry breaking mirrors
     Alloy's default partial scheme and can be toggled, as the study
     requires. *)
@@ -40,10 +41,31 @@ val formula : ?negate:bool -> ?symmetry:bool -> t -> pred:string -> Formula.t
 val cnf : ?negate:bool -> ?symmetry:bool -> t -> pred:string -> Cnf.t
 (** CNF of {!formula} with projection onto the primary variables. *)
 
+val iter_solutions :
+  ?symmetry:bool ->
+  ?limit:int ->
+  ?budget:float ->
+  t ->
+  pred:string ->
+  (bool array -> unit) ->
+  bool
+(** [iter_solutions t ~pred f] streams every solution of the predicate
+    to [f] as its primary-variable bits ({!Instance.to_bits} layout),
+    in lexicographic order of those bits, holding none of them; at most
+    [limit] solutions (default: all), within [budget] seconds of
+    enumeration (default: no bound).  Returns [true] when the
+    enumeration completed, i.e. [f] saw every solution; [false] when
+    it stopped at [limit] or ran out of [budget].  Solutions
+    come from blocking-free projected enumeration ({!Mcml_sat.Enumerate}),
+    so the cost is linear in their number and the order depends only
+    on the CNF. *)
+
 val enumerate :
   ?symmetry:bool -> ?limit:int -> t -> pred:string -> Instance.t list * bool
-(** All solutions of the predicate (the positive samples of the study);
-    the boolean is [true] when enumeration completed. *)
+(** {!iter_solutions} collected as instances (the positive samples of
+    the study), in the same lexicographic order; with [limit], the
+    first [limit] solutions in that order.  The boolean is [true] when
+    enumeration completed. *)
 
 val evaluate : t -> pred:string -> Instance.t -> bool
 (** The Alloy Evaluator: checks a concrete instance by constant

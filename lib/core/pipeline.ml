@@ -9,6 +9,8 @@ type data_config = {
   seed : int;
 }
 
+exception Timeout
+
 type generated = {
   dataset : Dataset.t;
   num_positive_solutions : int;
@@ -50,14 +52,37 @@ let sample_negatives ~rng (prop : Props.t) ~scope ~num_pos =
          num_pos prop.Props.name scope);
   !negatives
 
-let generate_core (prop : Props.t) (cfg : data_config) : generated =
-  let analyzer = Props.analyzer ~scope:cfg.scope in
-  let insts, complete =
-    Mcml_alloy.Analyzer.enumerate ~symmetry:cfg.symmetry ~limit:cfg.max_positives
-      analyzer ~pred:prop.Props.pred
+(* Algorithm R (Vitter): offer every item of [iter] once; the result is
+   a uniform [cap]-subset of them (all of them if there are at most
+   [cap]), drawn from [rng], with the number of items offered and
+   [iter]'s result.  Holds at most [cap] items at any time. *)
+let reservoir ~rng ~cap iter =
+  let sample = Array.make cap [||] and seen = ref 0 in
+  let result =
+    iter (fun x ->
+        let i = !seen in
+        incr seen;
+        let slot = if i < cap then i else Splitmix.int rng (i + 1) in
+        if slot < cap then sample.(slot) <- x)
   in
-  let positives = List.map Mcml_alloy.Instance.to_bits insts in
-  let num_pos = List.length positives in
+  (Array.sub sample 0 (min cap !seen), !seen, result)
+
+let generate_core ?budget (prop : Props.t) (cfg : data_config) : generated =
+  let analyzer = Props.analyzer ~scope:cfg.scope in
+  (* every solution is streamed through the reservoir, so a capped set
+     of positives is a uniform sample of the exhaustive one.  The sample
+     is determined by the CNF (the stream is lexicographic) and the
+     seed; sorting it fixes the order in which it enters the shuffle *)
+  let sample, total, complete =
+    reservoir ~rng:(Splitmix.create (cfg.seed + 2)) ~cap:cfg.max_positives
+      (Mcml_alloy.Analyzer.iter_solutions ?budget ~symmetry:cfg.symmetry analyzer
+         ~pred:prop.Props.pred)
+  in
+  (* with no limit, an incomplete enumeration ran out of budget *)
+  if not complete then raise Timeout;
+  Array.sort compare sample;
+  let positives = Array.to_list sample in
+  let num_pos = Array.length sample in
   if num_pos = 0 then
     invalid_arg
       (Printf.sprintf "Pipeline.generate: %s has no solutions at scope %d"
@@ -77,12 +102,12 @@ let generate_core (prop : Props.t) (cfg : data_config) : generated =
   {
     dataset;
     num_positive_solutions = num_pos;
-    positives_complete = complete;
+    positives_complete = total <= cfg.max_positives;
     scope = cfg.scope;
     symmetry = cfg.symmetry;
   }
 
-let generate (prop : Props.t) (cfg : data_config) : generated =
+let generate ?budget (prop : Props.t) (cfg : data_config) : generated =
   let open Mcml_obs in
   let generated = ref None in
   Obs.with_span "pipeline.generate"
@@ -101,7 +126,7 @@ let generate (prop : Props.t) (cfg : data_config) : generated =
             ])
           !generated)
     (fun () ->
-      let g = generate_core prop cfg in
+      let g = generate_core ?budget prop cfg in
       Obs.add "pipeline.generates" 1;
       generated := Some g;
       g)

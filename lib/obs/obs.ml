@@ -738,8 +738,9 @@ let tee a b =
 
 (* Console sink: aggregate the span stream into a tree where repeated
    same-name children of one parent collapse into a single row (call
-   count, total duration, numeric attributes summed).  Enumerating 3000
-   solutions must print one "solver.solve ×3000" row, not 3000 rows.
+   count, total duration, numeric attributes summed).  The approximate
+   counter's thousands of solves must print one "solver.solve ×N" row,
+   not N rows.
    Parentage follows span ids — a live map of open span id → aggregate
    node — so concurrent domains cannot corrupt each other's nesting. *)
 

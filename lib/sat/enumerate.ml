@@ -9,59 +9,45 @@ let string_of_status = function
   | Limit -> "limit"
   | Unknown -> "unknown"
 
-let run ?(limit = max_int) ?(max_conflicts = 0) ?(keep_models = true)
+let run ?(limit = max_int) ?(max_conflicts = 0) ?budget ?(keep_models = true)
     ?(on_model = fun _ -> ()) (cnf : Cnf.t) =
-  let sp = Mcml_obs.Obs.start "sat.enumerate" in
-  let t0 = if Mcml_obs.Obs.enabled () then Mcml_obs.Obs.monotonic_s () else 0.0 in
-  let projection = Cnf.projection_vars cnf in
-  let s = Solver.of_cnf cnf in
+  let open Mcml_obs in
   let models = ref [] in
   let n = ref 0 in
   let status = ref Limit in
-  let continue = ref true in
-  while !continue do
-    if !n >= limit then begin
-      status := Limit;
-      continue := false
-    end
-    else
-      match Solver.solve ~max_conflicts s with
-      | Solver.Sat ->
-          let m = Array.map (fun v -> Solver.model_value s v) projection in
-          if keep_models then models := m :: !models;
-          incr n;
-          on_model m;
-          (* block this projected assignment *)
-          let blocking =
-            Array.to_list
-              (Array.mapi (fun i v -> Lit.make v (not m.(i))) projection)
-          in
-          Solver.add_clause s blocking
-      | Solver.Unsat ->
-          status := Complete;
-          continue := false
-      | Solver.Unknown ->
-          (* conflict budget exhausted: the models found so far are a
-             genuine subset, but the enumeration is NOT complete and,
-             unlike [Limit], did not stop where the caller asked it to *)
-          status := Unknown;
-          continue := false
-  done;
-  if Mcml_obs.Obs.enabled () then begin
-    let open Mcml_obs in
-    let dt = Mcml_obs.Obs.monotonic_s () -. t0 in
-    Obs.add "enumerate.models" !n;
-    Obs.add "enumerate.blocking_clauses" !n;
-    Obs.finish sp
-      ~attrs:
-        [
-          ("models", Obs.Int !n);
-          ("blocking_clauses", Obs.Int !n);
-          ("status", Obs.Str (string_of_status !status));
-          ("complete", Obs.Bool (!status = Complete));
-          ("models_per_sec", Obs.Float (if dt > 0.0 then float_of_int !n /. dt else 0.0));
-        ]
-  end;
+  let t0 = Obs.monotonic_s () in
+  let deadline = Option.fold ~none:infinity ~some:(fun b -> t0 +. b) budget in
+  Obs.with_span "sat.enumerate"
+    ~attrs:(fun () ->
+      let dt = Obs.monotonic_s () -. t0 in
+      [
+        ("models", Obs.Int !n);
+        ("status", Obs.Str (string_of_status !status));
+        ("complete", Obs.Bool (!status = Complete));
+        ("models_per_sec", Obs.Float (if dt > 0.0 then float_of_int !n /. dt else 0.0));
+      ])
+    (fun () ->
+      if limit > 0 then begin
+        let s = Solver.of_cnf cnf in
+        let before = Solver.stats s in
+        let stop =
+          Solver.enumerate ~max_conflicts ~deadline s ~projection:(Cnf.projection_vars cnf) (fun m ->
+              if keep_models then models := m :: !models;
+              incr n;
+              on_model m;
+              !n < limit)
+        in
+        let after = Solver.stats s in
+        Obs.add "enumerate.models" !n;
+        Obs.add "solver.conflicts" (after.conflicts - before.conflicts);
+        Obs.add "solver.decisions" (after.decisions - before.decisions);
+        Obs.add "solver.propagations" (after.propagations - before.propagations);
+        status :=
+          match stop with
+          | Solver.Exhausted -> Complete
+          | Solver.Stopped -> Limit
+          | Solver.Out_of_budget -> Unknown
+      end);
   { models = !models; complete = !status = Complete; status = !status }
 
 let count ?limit cnf =

@@ -616,18 +616,29 @@ let add_clause s (lits : Lit.t list) =
     end
   end
 
+(* Attach a learnt clause (first-UIP literal first) under the current
+   assignment.  After a CDCL backjump to the clause's second-highest
+   level every other literal is false, so the first is implied and
+   enqueued: the asserting step.  After a chronological backtrack
+   (projected enumeration) other literals may be unassigned too; the
+   clause is then watched on two non-false literals and only prunes
+   later.  The second watch is a non-false literal if there is one,
+   else the false literal of the highest level. *)
 let add_learnt s (lits : Lit.t list) =
   match lits with
   | [] -> s.ok <- false
-  | [ l ] -> (
+  | [ l ] when decision_level s = 0 -> (
       enqueue s l dummy_clause;
       match propagate s with Some _ -> s.ok <- false | None -> ())
+  | [ l ] ->
+      if value_lit s l = -1 then
+        enqueue s l { lits = [| l |]; activity = 0.0; mark = false; learnt = true }
   | first :: _ ->
       let arr = Array.of_list lits in
-      (* the second watch must be a literal from the backtrack level *)
+      let rank l = if value_lit s l = 0 then s.level.(Lit.var l) else max_int in
       let best = ref 1 in
       for j = 2 to Array.length arr - 1 do
-        if s.level.(Lit.var arr.(j)) > s.level.(Lit.var arr.(!best)) then best := j
+        if rank arr.(j) > rank arr.(!best) then best := j
       done;
       let tmp = arr.(1) in
       arr.(1) <- arr.(!best);
@@ -636,7 +647,7 @@ let add_learnt s (lits : Lit.t list) =
       Vec.push s.learnts c;
       attach_clause s c;
       cla_bump s c;
-      enqueue s first c
+      if value_lit s first = -1 && value_lit s arr.(1) = 0 then enqueue s first c
 
 (* --- learnt DB reduction ---------------------------------------------- *)
 
@@ -681,6 +692,16 @@ let pick_branch_var s =
     end
   in
   go ()
+
+(* open a decision level on literal [p] *)
+let decide s p =
+  s.decisions <- s.decisions + 1;
+  Vec.push s.trail_lim (Vec.size s.trail);
+  enqueue s p dummy_clause
+
+(* The learnt-clause reduction schedule of both [search] and [enumerate]. *)
+let maybe_reduce_db s =
+  if Vec.size s.learnts >= max 4000 (Vec.size s.clauses / 2) then reduce_db s
 
 (* Standard Luby sequence: 1 1 2 1 1 2 4 ... *)
 let luby y x =
@@ -739,7 +760,7 @@ let search s ~assumptions ~conflict_ceiling ~restart_budget : outcome =
             raise (Done O_unknown)
           end
       | None ->
-          if Vec.size s.learnts >= max 4000 (Vec.size s.clauses / 2) then reduce_db s;
+          maybe_reduce_db s;
           (* re-establish assumption pseudo-decisions below any search
              decision; an already-true assumption still opens a (dummy)
              level so the level/assumption-index correspondence holds *)
@@ -753,17 +774,12 @@ let search s ~assumptions ~conflict_ceiling ~restart_budget : outcome =
                 raise (Done O_unsat_assumptions)
             | _ -> next := Some p
           done;
-          let decide p =
-            s.decisions <- s.decisions + 1;
-            Vec.push s.trail_lim (Vec.size s.trail);
-            enqueue s p dummy_clause
-          in
           (match !next with
-          | Some p -> decide p
+          | Some p -> decide s p
           | None ->
               let v = pick_branch_var s in
               if v = 0 then raise (Done O_sat)
-              else decide (Lit.make v s.polarity.(v))))
+              else decide s (Lit.make v s.polarity.(v))))
     done;
     assert false
   with Done r -> r
@@ -833,6 +849,110 @@ let solve ?(max_conflicts = 0) ?(assumptions = []) s =
         ];
     r
   end
+
+(* --- projected model enumeration ----------------------------------------- *)
+
+type enumeration = Exhausted | Stopped | Out_of_budget
+
+(* Blocking-free enumeration with chronological backtracking (Toda &
+   Soh, "Implementing Efficient All Solutions SAT Solvers", JEA 2016).
+   The projection variables are decided first, in the order given and
+   false first, on levels [1..!nproj]; the search tree over them is
+   walked depth-first, so projected models come out in lexicographic
+   order.  Once every projection variable is assigned, ordinary CDCL
+   search (backjumping no lower than [!nproj]) finds one extension or
+   refutes the prefix.  A model or a refuted prefix moves on by
+   flipping the deepest projection decision whose second branch is
+   still unexplored.  The 1UIP clauses learnt on the way are implied by
+   the clause database, so keeping them prunes dead branches without
+   removing a model.  The clock is read only when a [deadline] is set,
+   once per conflict and once per model: between two of those, the work
+   is at most one descent through the variables. *)
+let enumerate ?(max_conflicts = 0) ?(deadline = infinity) s ~projection on_model =
+  Array.iter
+    (fun v ->
+      if v < 1 || v > s.nvars then invalid_arg "Solver.enumerate: unknown projection variable")
+    projection;
+  let k = Array.length projection in
+  (* per projection level: the index into [projection] decided there,
+     and whether that decision is already its second branch (true) *)
+  let decided = Array.make (k + 1) 0 and flipped = Array.make (k + 1) false in
+  let nproj = ref 0 in
+  let since_model = ref s.conflicts in
+  (* false once every projection decision has had both branches *)
+  let flip () =
+    let j = ref !nproj in
+    while !j > 0 && flipped.(!j) do
+      decr j
+    done;
+    if !j > 0 then begin
+      cancel_until s (!j - 1);
+      nproj := !j;
+      flipped.(!j) <- true;
+      decide s (Lit.pos projection.(decided.(!j)))
+    end;
+    !j > 0
+  in
+  let next_projection () =
+    let i = ref (if !nproj = 0 then 0 else decided.(!nproj) + 1) in
+    while !i < k && s.assign.(projection.(!i)) <> -1 do
+      incr i
+    done;
+    !i
+  in
+  let out_of_time () =
+    deadline < infinity && Mcml_obs.Obs.monotonic_s () >= deadline
+  in
+  let result = ref None in
+  if not s.ok then result := Some Exhausted else cancel_until s 0;
+  Fun.protect ~finally:(fun () -> cancel_until s 0) @@ fun () ->
+  while !result = None do
+    match propagate_all s with
+    | Some confl ->
+        s.conflicts <- s.conflicts + 1;
+        if decision_level s = 0 then begin
+          s.ok <- false;
+          result := Some Exhausted
+        end
+        else begin
+          let lits, blevel = analyze s confl in
+          if decision_level s > !nproj then begin
+            cancel_until s (max blevel !nproj);
+            add_learnt s lits
+          end
+          else if flip () then add_learnt s lits
+          else result := Some Exhausted;
+          s.var_inc <- s.var_inc *. var_decay;
+          s.cla_inc <- s.cla_inc *. clause_decay;
+          if not s.ok then result := Some Exhausted
+          else if
+            !result = None
+            && ((max_conflicts > 0 && s.conflicts - !since_model >= max_conflicts)
+               || out_of_time ())
+          then result := Some Out_of_budget
+        end
+    | None ->
+        maybe_reduce_db s;
+        let i = if decision_level s = !nproj then next_projection () else k in
+        if i < k then begin
+          incr nproj;
+          decided.(!nproj) <- i;
+          flipped.(!nproj) <- false;
+          decide s (Lit.neg_of_var projection.(i))
+        end
+        else begin
+          let v = if Vec.size s.trail = s.nvars then 0 else pick_branch_var s in
+          if v <> 0 then decide s (Lit.make v s.polarity.(v))
+          else begin
+            since_model := s.conflicts;
+            if not (on_model (Array.map (fun v -> s.assign.(v) = 1) projection)) then
+              result := Some Stopped
+            else if not (flip ()) then result := Some Exhausted
+            else if out_of_time () then result := Some Out_of_budget
+          end
+        end
+  done;
+  Option.get !result
 
 let unsat_core s = s.core
 

@@ -50,6 +50,43 @@ val solve : ?max_conflicts:int -> ?assumptions:Lit.t list -> t -> result
     names a subset of them that the clause database refutes.  Passing
     a literal over a variable not in [1..nvars] raises [Invalid_argument]. *)
 
+type enumeration =
+  | Exhausted  (** every projected model has been passed to the callback *)
+  | Stopped  (** the callback asked to stop *)
+  | Out_of_budget
+      (** [max_conflicts] conflicts passed without a new model, or the
+          [deadline] passed *)
+
+val enumerate :
+  ?max_conflicts:int ->
+  ?deadline:float ->
+  t ->
+  projection:int array ->
+  (bool array -> bool) ->
+  enumeration
+(** [enumerate s ~projection f] calls [f] once on every model of the
+    clause database projected onto [projection] (values in the order
+    of [projection]), in lexicographic order of those values with
+    [false < true].  [f] returns whether to go on.
+
+    No blocking clause is added: the projection variables are decided
+    first, in the given order and false first, and every model or dead
+    branch moves on by flipping the deepest projection decision whose
+    second branch is unexplored (chronological backtracking).  The
+    remaining variables are completed by ordinary CDCL search under
+    that prefix.  The 1UIP clauses learnt on the way are implied by
+    the database, so they prune without removing a model, and the
+    solver stays usable afterwards.  The cost is linear in the number
+    of models times the cost of one descent.
+
+    [max_conflicts] (0 = unlimited) bounds the conflicts spent between
+    consecutive models (the first counted from the call); exceeding it
+    returns [Out_of_budget].  [deadline] (default: none) is a point on
+    {!Mcml_obs.Obs.monotonic_s}'s clock; it is checked after every
+    conflict and every model, and once passed the call returns
+    [Out_of_budget].  Raises [Invalid_argument] on a projection
+    variable outside [1..nvars]. *)
+
 val parity_max_vars : int
 (** Upper bound on the number of variables (and rows) the native parity
     subsystem accepts — one bit per variable in an OCaml [int]. *)

@@ -205,23 +205,35 @@ let run_count t ~deadline (q : Protocol.query) =
                ])
       | None -> Error (timed_out budget))
 
-(* The accmc request replicates [mcml train-eval]'s phi section: same
-   dataset generation, same split and trainer seeds, so a served answer
-   equals the direct CLI answer for the same parameters. *)
-let run_accmc t ~deadline (q : Protocol.query) =
+(* The dataset of the accmc and diffmc requests with its scope,
+   generated within the budget the deadline leaves, and the budget left
+   for the counts that follow, so generation and counting together stay
+   within the deadline. *)
+let dataset ~deadline (q : Protocol.query) =
   match clamp_budget ~deadline q.budget with
   | None -> Error expired
   | Some budget -> (
       let scope = resolve_scope q in
-      let data =
-        Mcml.Pipeline.generate q.prop
-          {
-            Mcml.Pipeline.scope;
-            symmetry = q.symmetry;
-            max_positives = 3000;
-            seed = q.seed;
-          }
-      in
+      match
+        Mcml.Pipeline.generate ~budget q.prop
+          { Mcml.Pipeline.scope; symmetry = q.symmetry; max_positives = 3000; seed = q.seed }
+      with
+      | exception Mcml.Pipeline.Timeout ->
+          Error
+            ( Protocol.Timeout,
+              Printf.sprintf "dataset generation timed out (budget %.3gs)" budget )
+      | data -> (
+          match clamp_budget ~deadline q.budget with
+          | None -> Error (Protocol.Timeout, "deadline expired after dataset generation")
+          | Some budget -> Ok (scope, data, budget)))
+
+(* The accmc request replicates [mcml train-eval]'s phi section: same
+   dataset generation, same split and trainer seeds, so a served answer
+   equals the direct CLI answer for the same parameters. *)
+let run_accmc t ~deadline (q : Protocol.query) =
+  match dataset ~deadline q with
+  | Error _ as e -> e
+  | Ok (scope, data, budget) -> (
       let rng = Mcml_logic.Splitmix.create (q.seed + 5) in
       let train, test =
         Mcml_ml.Dataset.split rng ~train_fraction:0.75 data.Mcml.Pipeline.dataset
@@ -264,19 +276,9 @@ let run_accmc t ~deadline (q : Protocol.query) =
 (* Mirrors [mcml diff]: two trees from the same data under different
    hyperparameters, then DiffMC between them. *)
 let run_diffmc t ~deadline (q : Protocol.query) =
-  match clamp_budget ~deadline q.budget with
-  | None -> Error expired
-  | Some budget -> (
-      let scope = resolve_scope q in
-      let data =
-        Mcml.Pipeline.generate q.prop
-          {
-            Mcml.Pipeline.scope;
-            symmetry = q.symmetry;
-            max_positives = 3000;
-            seed = q.seed;
-          }
-      in
+  match dataset ~deadline q with
+  | Error _ as e -> e
+  | Ok (scope, data, budget) -> (
       let rng = Mcml_logic.Splitmix.create (q.seed + 29) in
       let train, _ =
         Mcml_ml.Dataset.split rng ~train_fraction:0.5 data.Mcml.Pipeline.dataset

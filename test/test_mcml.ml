@@ -361,6 +361,95 @@ let pipeline_generate_invariants () =
   check Alcotest.bool "completeness flag" true
     (data.Pipeline.positives_complete = (data.Pipeline.num_positive_solutions < 500))
 
+(* Capped positives are a seeded uniform sample of the exhaustive model
+   set.  The oracle lists the models by brute force over all 2^16
+   matrices in lexicographic order (the property's direct checker, plus
+   the instance-level lex-leader test under symmetry), then runs
+   Algorithm R over them with the stream pipeline.mli names (SplitMix
+   seeded with [seed + 2]) and sorts the sample. *)
+let brute_models (prop : Props.t) ~scope ~symmetry =
+  let n = scope * scope in
+  let models = ref [] in
+  for mask = (1 lsl n) - 1 downto 0 do
+    let bits = Array.init n (fun i -> mask land (1 lsl (n - 1 - i)) <> 0) in
+    if
+      prop.Props.check ~scope bits
+      && ((not symmetry)
+         || Mcml_alloy.Symmetry.is_lex_leader
+              (Mcml_alloy.Instance.of_bits (Props.spec ()) ~scope bits))
+    then models := bits :: !models
+  done;
+  !models
+
+let algorithm_r ~seed ~cap models =
+  let rng = Splitmix.create (seed + 2) in
+  let sample = Array.make cap [||] in
+  List.iteri
+    (fun i m ->
+      if i < cap then sample.(i) <- m
+      else
+        let j = Splitmix.int rng (i + 1) in
+        if j < cap then sample.(j) <- m)
+    models;
+  List.sort compare (Array.to_list (Array.sub sample 0 (min cap (List.length models))))
+
+let pipeline_positive_sample () =
+  let cap = 500 and seed = 31 and scope = 4 in
+  List.iter
+    (fun (name, symmetry) ->
+      let prop = Props.find_exn name in
+      let what = Printf.sprintf "%s symmetry=%b" name symmetry in
+      let models = brute_models prop ~scope ~symmetry in
+      let data =
+        Pipeline.generate prop { Pipeline.scope; symmetry; max_positives = cap; seed }
+      in
+      let positives =
+        Array.to_list data.Pipeline.dataset.Dataset.samples
+        |> List.filter (fun s -> s.Dataset.label)
+        |> List.map (fun s -> s.Dataset.features)
+        |> List.sort compare
+      in
+      let total = List.length models in
+      check Alcotest.int (what ^ ": positives") (min cap total) (List.length positives);
+      check Alcotest.int (what ^ ": distinct") (List.length positives)
+        (List.length (List.sort_uniq compare positives));
+      List.iter
+        (fun bits ->
+          check Alcotest.bool (what ^ ": satisfies the property") true
+            (prop.Props.check ~scope bits))
+        positives;
+      check Alcotest.bool (what ^ ": equals the Algorithm R oracle") true
+        (positives = algorithm_r ~seed ~cap models);
+      if total <= cap then
+        check Alcotest.bool (what ^ ": every model when under the cap") true
+          (positives = models);
+      check Alcotest.bool (what ^ ": completeness flag") (total <= cap)
+        data.Pipeline.positives_complete)
+    [
+      ("Antisymmetric", false);
+      ("Antisymmetric", true);
+      ("Surjective", false);
+      ("Irreflexive", false);
+      ("PartialOrder", true);
+    ]
+
+(* Irreflexive at scope 6 has 2^30 solutions: generation is bounded only
+   by its budget, which it must honour, while a generous budget leaves a
+   small run untouched. *)
+let pipeline_generate_budget () =
+  let prop = Props.find_exn "Irreflexive" in
+  let cfg scope = { Pipeline.scope; symmetry = false; max_positives = 3000; seed = 4 } in
+  let t0 = Unix.gettimeofday () in
+  (match Pipeline.generate ~budget:0.2 prop (cfg 6) with
+  | _ -> Alcotest.fail "scope 6 generated within 0.2 s"
+  | exception Pipeline.Timeout -> ());
+  check Alcotest.bool "times out soon after the budget" true
+    (Unix.gettimeofday () -. t0 < 2.0);
+  let bounded = Pipeline.generate ~budget:60.0 prop (cfg 3) in
+  let unbounded = Pipeline.generate prop (cfg 3) in
+  check Alcotest.bool "budget does not change the dataset" true
+    (bounded.Pipeline.dataset = unbounded.Pipeline.dataset)
+
 let pipeline_negatives_distinct () =
   let prop = Props.find_exn "Reflexive" in
   let data =
@@ -408,6 +497,34 @@ let experiments_scope_for () =
   check Alcotest.bool "max scope respected" true
     (Experiments.scope_for tiny_cfg (Props.find_exn "Equivalence") ~symmetry:true
     <= tiny_cfg.Experiments.max_scope)
+
+(* Every dataset of Tables 3 and 7 enumerates its property in full at
+   the scope the table selects: the streamed count must equal the exact
+   counter's on the same CNF, with no duplicates. *)
+let experiments_dt_rows_enumerate_fully () =
+  let cfg = Experiments.fast in
+  List.iter
+    (fun symmetry ->
+      List.iter
+        (fun (prop : Props.t) ->
+          let scope = Experiments.scope_for cfg prop ~symmetry in
+          let analyzer = Props.analyzer ~scope in
+          let models = ref [] in
+          let complete =
+            Mcml_alloy.Analyzer.iter_solutions ~symmetry analyzer ~pred:prop.Props.pred
+              (fun bits -> models := bits :: !models)
+          in
+          let what = Printf.sprintf "%s@%d symmetry=%b" prop.Props.name scope symmetry in
+          let exact =
+            Mcml_counting.Exact.count (Mcml_alloy.Analyzer.cnf ~symmetry analyzer ~pred:prop.Props.pred)
+          in
+          check Alcotest.bool (what ^ ": complete") true complete;
+          check Alcotest.string (what ^ ": count") (Bignat.to_string exact)
+            (string_of_int (List.length !models));
+          check Alcotest.int (what ^ ": distinct") (List.length !models)
+            (List.length (List.sort_uniq compare !models)))
+        Props.all)
+    [ true; false ]
 
 let experiments_model_performance () =
   let rows =
@@ -548,6 +665,8 @@ let () =
       ( "pipeline",
         [
           Alcotest.test_case "generate invariants" `Quick pipeline_generate_invariants;
+          Alcotest.test_case "uniform positive sample" `Quick pipeline_positive_sample;
+          Alcotest.test_case "generation budget" `Quick pipeline_generate_budget;
           Alcotest.test_case "negatives distinct" `Quick pipeline_negatives_distinct;
           Alcotest.test_case "ground truth counts" `Quick pipeline_ground_truth_count;
           Alcotest.test_case "ratio fractions" `Quick pipeline_ratio_fractions;
@@ -555,6 +674,8 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "scope selection" `Quick experiments_scope_for;
+          Alcotest.test_case "table 3/7 datasets enumerate fully" `Quick
+            experiments_dt_rows_enumerate_fully;
           Alcotest.test_case "model performance rows" `Slow experiments_model_performance;
           Alcotest.test_case "dt generalization rows" `Slow experiments_dt_generalization;
           Alcotest.test_case "tree differences rows" `Slow experiments_tree_differences;

@@ -270,6 +270,54 @@ let enumeration_models_distinct_and_valid =
       in
       List.length (List.sort_uniq Stdlib.compare keys) = List.length keys)
 
+(* Random 3-CNFs near the satisfiability threshold (4-5 clauses per
+   variable) with a random projection subset and a random limit.  The
+   variables outside the projection are not defined by the ones inside
+   it, and at this density unit propagation often fails to refute a
+   projected valuation that has no extension, so an enumerator that
+   stops searching once the projection is assigned is caught (about
+   one case in twenty). *)
+let projected_gen =
+  let open QCheck2.Gen in
+  let* nvars = int_range 4 10 in
+  let* nclauses = int_range (4 * nvars) (5 * nvars) in
+  let* raw =
+    list_size (return nclauses) (list_size (return 3) (pair (int_range 1 nvars) bool))
+  in
+  let* keep = list_size (return nvars) bool in
+  let* limit = int_range 1 ((1 lsl nvars) + 1) in
+  let clauses =
+    List.map (fun lits -> Array.of_list (List.map (fun (v, s) -> Lit.make v s) lits)) raw
+  in
+  let projection =
+    Array.of_list (List.concat (List.mapi (fun i k -> if k then [ i + 1 ] else []) keep))
+  in
+  return (Cnf.make ~projection ~nvars clauses, limit)
+
+(* the projected models by brute force, in lexicographic order *)
+let brute_projected (cnf : Cnf.t) =
+  let n = cnf.Cnf.nvars in
+  let projection = Cnf.projection_vars cnf in
+  let found = ref [] in
+  for mask = 0 to (1 lsl n) - 1 do
+    let a = Array.init (n + 1) (fun v -> v >= 1 && mask land (1 lsl (v - 1)) <> 0) in
+    if Cnf.eval cnf a then found := Array.map (fun v -> a.(v)) projection :: !found
+  done;
+  List.sort_uniq compare !found
+
+let enumeration_projected_oracle =
+  qtest ~count:300 "projected models stream in lexicographic order; limit keeps a prefix"
+    projected_gen (fun (cnf, limit) ->
+      let expected = brute_projected cnf in
+      let streamed = ref [] in
+      let full = Enumerate.run ~keep_models:false ~on_model:(fun m -> streamed := m :: !streamed) cnf in
+      let limited = Enumerate.run ~limit cnf in
+      let total = List.length expected in
+      List.rev !streamed = expected
+      && full.Enumerate.status = Enumerate.Complete
+      && List.rev limited.Enumerate.models = List.filteri (fun i _ -> i < limit) expected
+      && limited.Enumerate.status = if limit <= total then Enumerate.Limit else Enumerate.Complete)
+
 let enumeration_limit () =
   (* free space over 4 vars: 16 models; limit 5 must stop early *)
   let cnf = Cnf.make ~nvars:4 [ [| Lit.pos 1; Lit.neg_of_var 1 |] ] in
@@ -326,6 +374,20 @@ let enumeration_unknown () =
   let cnf = Cnf.make ~nvars:4 [ [| Lit.pos 1; Lit.neg_of_var 1 |] ] in
   let limited = Enumerate.run ~limit:5 cnf in
   check Alcotest.bool "status Limit" true (limited.Enumerate.status = Enumerate.Limit)
+
+let enumeration_budget () =
+  (* a wall-clock budget stops the enumeration both while models stream
+     (2^40 of them) and while only conflicts do (php(11,10) has no model,
+     and refuting it takes far longer than the budget) *)
+  List.iter
+    (fun (name, cnf) ->
+      let t0 = Unix.gettimeofday () in
+      let outcome = Enumerate.run ~budget:0.05 ~keep_models:false cnf in
+      let dt = Unix.gettimeofday () -. t0 in
+      check Alcotest.bool (name ^ ": status Unknown") true
+        (outcome.Enumerate.status = Enumerate.Unknown);
+      check Alcotest.bool (name ^ ": stops soon after the budget") true (dt < 1.0))
+    [ ("2^40 models", Cnf.make ~nvars:40 []); ("php(11,10)", php_cnf 11 10) ]
 
 (* --- xor ------------------------------------------------------------------------- *)
 
@@ -556,10 +618,12 @@ let () =
         [
           enumeration_count_matches_brute;
           enumeration_models_distinct_and_valid;
+          enumeration_projected_oracle;
           Alcotest.test_case "limit" `Quick enumeration_limit;
           Alcotest.test_case "projection" `Quick enumeration_projected;
           Alcotest.test_case "keep_models off" `Quick enumeration_keep_models;
           Alcotest.test_case "unknown status" `Quick enumeration_unknown;
+          Alcotest.test_case "wall-clock budget" `Quick enumeration_budget;
         ] );
       ( "xor",
         [

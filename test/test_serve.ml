@@ -182,6 +182,11 @@ let result_member resp field =
       | None ->
           Alcotest.failf "result lacks %S: %s" field (Json.to_string payload))
 
+let code_of resp =
+  match resp.Protocol.body with
+  | Ok _ -> "ok"
+  | Error (code, _) -> Protocol.code_name code
+
 let execute_count_matches_direct () =
   with_server (fun srv ->
       let prop = Mcml_props.Props.find_exn "Reflexive" in
@@ -228,6 +233,28 @@ let execute_health_stats () =
           | _ -> Alcotest.failf "stats payload: %s" (Json.to_string payload))
       | Error (_, msg) -> Alcotest.failf "stats failed: %s" msg)
 
+(* accmc and diffmc enumerate the dataset's positives at the client's
+   scope: Irreflexive at scope 6 has 2^30 of them, so both the request
+   deadline and, without one, the request budget must bound generation. *)
+let large_scope_generation_bounded () =
+  with_server (fun srv ->
+      List.iter
+        (fun (what, deadline_ms, budget, kind) ->
+          let q = mk_query ~scope:6 ~budget "Irreflexive" in
+          let t0 = Unix.gettimeofday () in
+          let resp =
+            Server.execute srv
+              { Protocol.id = Json.Null; trace = None; deadline_ms; kind = kind q }
+          in
+          check Alcotest.string (what ^ ": timeout response") "timeout" (code_of resp);
+          check Alcotest.bool (what ^ ": ends soon after its bound") true
+            (Unix.gettimeofday () -. t0 < 2.0))
+        [
+          ("accmc, 200 ms deadline", Some 200.0, 30.0, fun q -> Protocol.Accmc q);
+          ("diffmc, 200 ms deadline", Some 200.0, 30.0, fun q -> Protocol.Diffmc q);
+          ("accmc, 0.2 s budget", None, 0.2, fun q -> Protocol.Accmc q);
+        ])
+
 (* ---------------------------------------------------------------------- *)
 (* Connections (socketpair end-to-end)                                     *)
 (* ---------------------------------------------------------------------- *)
@@ -265,11 +292,6 @@ let finish conn =
   (try Unix.shutdown conn.cfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
   Thread.join conn.handler;
   close_in_noerr conn.ic
-
-let code_of resp =
-  match resp.Protocol.body with
-  | Ok _ -> "ok"
-  | Error (code, _) -> Protocol.code_name code
 
 let connection_in_order () =
   with_server (fun srv ->
@@ -501,6 +523,8 @@ let () =
           Alcotest.test_case "count matches direct Analyzer.count" `Quick
             execute_count_matches_direct;
           Alcotest.test_case "health and stats" `Quick execute_health_stats;
+          Alcotest.test_case "large-scope generation is bounded" `Quick
+            large_scope_generation_bounded;
         ] );
       ( "connection",
         [
