@@ -51,6 +51,25 @@ for p in Antisymmetric Bijective Connex Equivalence Function Functional \
 done
 echo "   32/32 exact counts identical to brute enumeration"
 
+echo "== CLI input gate: out-of-range --scope and --train-fraction rejected =="
+# a bad value must stop at argument parsing with a usage error, not
+# reach the pipeline and die on an uncaught exception
+for args in "train-eval -p Reflexive -s 3 --train-fraction 1.5" \
+  "train-eval -p Reflexive -s 3 --train-fraction 0" \
+  "diff -p Reflexive -s 0" "count -p Reflexive -s 0"; do
+  # shellcheck disable=SC2086
+  if err="$("$MCML" $args 2>&1)"; then
+    echo "FAIL: 'mcml $args' exited 0" >&2
+    exit 1
+  fi
+  if echo "$err" | grep -q "internal error"; then
+    echo "FAIL: 'mcml $args' died on an internal error:" >&2
+    echo "$err" >&2
+    exit 1
+  fi
+done
+echo "   4/4 bad arguments rejected at parse time"
+
 echo "== approx incremental gate: one solver per round vs scratch per query =="
 # the incremental path (native parity rows behind activation literals,
 # model replay, learnt-clause reuse) must not change a single estimate:
@@ -174,23 +193,33 @@ grep -q '"speedup_vs_jobs1":' "$j4_json" || {
 }
 rm -f "$j1_out" "$j4_out" "$j1_json" "$j4_json"
 
-echo "== parallel training: Tables 2 and 4 at jobs=1 vs jobs=4 must be identical =="
+echo "== parallel driver: Tables 2, 3, 4 and 8 at jobs=1 vs jobs=4 must be identical =="
 # the split ratios train on separate pool domains; a scratch buffer of
 # the learners that leaked to module level would be shared between them
-# and change the printed metrics
-for t in 2 4; do
+# and change the printed metrics.  Tables 3 and 8 run the AccMC and
+# DiffMC count batches on the pool; only their trailing Time[s] column
+# (a wall time) may differ
+for t in 2 3 4 8; do
   m1="$(mktemp /tmp/mcml_exp${t}_j1.XXXXXX.txt)"
   m4="$(mktemp /tmp/mcml_exp${t}_j4.XXXXXX.txt)"
   "$MCML" exp "$t" --jobs 1 >"$m1"
   "$MCML" exp "$t" --jobs 4 >"$m4"
   [ -s "$m1" ] || { echo "FAIL: exp $t printed nothing" >&2; exit 1; }
+  case $t in
+    3 | 8)
+      for f in "$m1" "$m4"; do
+        sed 's/ *[0-9][0-9.]*$//' "$f" >"$f.strip"
+        mv "$f.strip" "$f"
+      done
+      ;;
+  esac
   if ! diff "$m1" "$m4"; then
     echo "FAIL: table $t differs between --jobs 1 and --jobs 4" >&2
     exit 1
   fi
   rm -f "$m1" "$m4"
 done
-echo "   tables 2 and 4 identical at --jobs 1 and --jobs 4"
+echo "   tables 2, 3, 4 and 8 identical at --jobs 1 and --jobs 4"
 
 echo "== bench regression gate vs committed baseline =="
 # same settings the committed BENCH_baseline.json was generated with:

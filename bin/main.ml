@@ -30,10 +30,24 @@ let prop_arg = Arg.(required & opt (some prop_converter) None & prop_info)
    takes an optional one and checks it itself *)
 let prop_opt_arg = Arg.(value & opt (some prop_converter) None & prop_info)
 
+(* Range checks at parse time: a bad value exits with cmdliner's usage
+   error instead of failing deep in the pipeline. *)
+let bounded_conv ~what ~parse ~pp ok =
+  Arg.conv
+    ( (fun s ->
+        match parse s with
+        | Some v when ok v -> Ok v
+        | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s what))),
+      pp )
+
+let scope_conv =
+  bounded_conv ~what:"an integer >= 1" ~parse:int_of_string_opt ~pp:Format.pp_print_int
+    (fun n -> n >= 1)
+
 let scope_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some scope_conv) None
     & info [ "s"; "scope" ] ~docv:"N"
         ~doc:"Exact scope (number of atoms). Default: the paper's selection rule.")
 
@@ -329,7 +343,11 @@ let train_eval_cmd =
     Arg.(value & opt model_converter Mcml_ml.Model.DT & info [ "m"; "model" ] ~docv:"MODEL" ~doc:"Model kind.")
   in
   let fraction =
-    Arg.(value & opt float 0.75 & info [ "train-fraction" ] ~docv:"F" ~doc:"Training fraction (0.75 = the 75:25 split).")
+    let fraction_conv =
+      bounded_conv ~what:"a number strictly between 0 and 1" ~parse:float_of_string_opt
+        ~pp:Format.pp_print_float (fun f -> f > 0.0 && f < 1.0)
+    in
+    Arg.(value & opt fraction_conv 0.75 & info [ "train-fraction" ] ~docv:"F" ~doc:"Training fraction (0.75 = the 75:25 split).")
   in
   let run () prop scope symmetry model fraction seed budget backend =
     let scope = Option.value scope ~default:(default_scope prop ~symmetry) in
@@ -342,9 +360,9 @@ let train_eval_cmd =
       (Mcml_ml.Dataset.size data.Pipeline.dataset)
       data.Pipeline.num_positive_solutions
       (if data.Pipeline.positives_complete then "" else ", capped");
-    let rng = Splitmix.create (seed + 5) in
-    let train, test = Mcml_ml.Dataset.split rng ~train_fraction:fraction data.Pipeline.dataset in
-    let m = Mcml_ml.Model.train ~sizes:Mcml_ml.Model.fast_sizes ~seed model train in
+    let m, _, test =
+      Pipeline.train_eval ~kind:model ~train_fraction:fraction ~seed data.Pipeline.dataset
+    in
     let c = Mcml_ml.Model.evaluate m test in
     Printf.printf "test    : acc=%.4f prec=%.4f rec=%.4f f1=%.4f\n"
       (Mcml_ml.Metrics.accuracy c) (Mcml_ml.Metrics.precision c)
@@ -381,16 +399,7 @@ let diff_cmd =
   let run () prop scope symmetry seed budget backend =
     let scope = Option.value scope ~default:(default_scope prop ~symmetry) in
     let data = generate_dataset ~budget prop ~scope ~symmetry ~seed in
-    let rng = Splitmix.create (seed + 29) in
-    let train, _ = Mcml_ml.Dataset.split rng ~train_fraction:0.5 data.Pipeline.dataset in
-    let t1 = Option.get (Mcml_ml.Model.train_tree ~seed:(seed + 1) train).Mcml_ml.Model.tree in
-    let t2 =
-      Option.get
-        (Mcml_ml.Model.train_tree
-           ~params:{ Mcml_ml.Decision_tree.max_depth = Some 4; min_samples_split = 8; max_features = None }
-           ~seed:(seed + 2) train)
-          .Mcml_ml.Model.tree
-    in
+    let t1, t2 = Pipeline.diff_trees ~seed data.Pipeline.dataset in
     let nprimary = scope * scope in
     match Diffmc.counts ~budget ~backend ~nprimary t1 t2 with
     | Some c ->
@@ -537,11 +546,7 @@ let stats_cmd =
       (if symmetry then "symmetry-broken" else "full space")
       (Mcml_counting.Counter.name backend);
     let data = generate_dataset ~budget prop ~scope ~symmetry ~seed in
-    let rng = Splitmix.create (seed + 5) in
-    let train, test =
-      Mcml_ml.Dataset.split rng ~train_fraction:0.75 data.Pipeline.dataset
-    in
-    let m = Mcml_ml.Model.train ~sizes:Mcml_ml.Model.fast_sizes ~seed Mcml_ml.Model.DT train in
+    let m, train, test = Pipeline.train_eval ~seed data.Pipeline.dataset in
     let c = Mcml_ml.Model.evaluate m test in
     Printf.printf "test  : acc=%.4f f1=%.4f (%d train / %d test samples)\n%!"
       (Mcml_ml.Metrics.accuracy c) (Mcml_ml.Metrics.f1 c)
@@ -1053,7 +1058,7 @@ let cache_cmd =
     let scopes_arg =
       Arg.(
         value
-        & opt_all int []
+        & opt_all scope_conv []
         & info [ "s"; "scope" ] ~docv:"N"
             ~doc:"Scope to warm (repeatable; default: the paper's rule per property).")
     in

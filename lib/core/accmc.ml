@@ -16,105 +16,62 @@ let default_style = function
   | Counter.Exact | Counter.Brute -> Complement
   | Counter.Approx _ -> Direct
 
+let style_name = function Direct -> "direct" | Complement -> "complement"
+
 (* Generalized core: works for any classifier whose true/false sides are
    given as (count-preserving) CNFs over the primary variables — decision
    trees via Tree2cnf, binarized networks via Bnn2cnf. *)
-let style_name = function Direct -> "direct" | Complement -> "complement"
-
 let counts_sides ?budget ?style ?pool ?cache ~backend ~phi ~not_phi ~space
     ~nprimary ((side_true : Cnf.t), (side_false : Cnf.t)) =
   let style = match style with Some s -> s | None -> default_style backend in
-  let tree_true = side_true and tree_false = side_false in
-  let start = Mcml_obs.Obs.monotonic_s () in
   let open Mcml_obs in
-  let sp =
-    if Obs.enabled () then Some (Obs.start "accmc.counts") else None
+  let start = Obs.monotonic_s () in
+  let problems =
+    match style with
+    | Direct ->
+        (* the literal reduction of the paper: tp, fp, tn, fn *)
+        [ (phi, side_true); (not_phi, side_true); (not_phi, side_false); (phi, side_false) ]
+    | Complement ->
+        (* ϕ is a total function of the primary variables, so within
+           the evaluation universe the models of [τ] split exactly
+           into [ϕ ∧ τ] and [¬ϕ ∧ τ]; counting the universe side and
+           subtracting avoids the expensive ¬ϕ formulas entirely.
+           Only valid with an exact backend.  Counts tp, denom_t,
+           denom_f, fn *)
+        [ (phi, side_true); (space, side_true); (space, side_false); (phi, side_false) ]
   in
-  let mc gt side =
-    let problem = Cnf.conjoin ~nshared:nprimary gt side in
-    Option.map
-      (fun o -> o.Counter.count)
-      (Counter.count ?budget ?cache ~backend problem)
-  in
-  let ( let* ) = Option.bind in
-  let result =
-    match pool with
-    | None -> (
-        (* sequential path: unchanged from the original driver,
-           including its short-circuit on the first timeout *)
-        match style with
-        | Direct ->
-            (* the literal reduction of the paper: four counting calls *)
-            let* tp = mc phi tree_true in
-            let* fp = mc not_phi tree_true in
-            let* tn = mc not_phi tree_false in
-            let* fn = mc phi tree_false in
-            Some (tp, fp, tn, fn)
-        | Complement ->
-            (* ϕ is a total function of the primary variables, so within
-               the evaluation universe the models of [τ] split exactly
-               into [ϕ ∧ τ] and [¬ϕ ∧ τ]; counting the universe side and
-               subtracting avoids the expensive ¬ϕ formulas entirely.
-               Only valid with an exact backend. *)
-            let* tp = mc phi tree_true in
-            let* denom_t = mc space tree_true in
-            let* fn = mc phi tree_false in
-            let* denom_f = mc space tree_false in
-            Some (tp, Bignat.sub denom_t tp, Bignat.sub denom_f fn, fn))
-    | Some pool ->
-        (* parallel path: the four counts are independent, so run them
-           as one batch and recombine in the fixed (tp, fp/denom_t,
-           tn/fn, ...) order — results are identical to the sequential
-           path, only the work schedule differs *)
-        let quad a b c d =
-          match Mcml_exec.Pool.map_list pool (fun f -> f ()) [ a; b; c; d ] with
-          | [ ra; rb; rc; rd ] -> (ra, rb, rc, rd)
-          | _ -> assert false
-        in
-        (match style with
-        | Direct ->
-            let tp, fp, tn, fn =
-              quad
-                (fun () -> mc phi tree_true)
-                (fun () -> mc not_phi tree_true)
-                (fun () -> mc not_phi tree_false)
-                (fun () -> mc phi tree_false)
-            in
-            let* tp = tp in
-            let* fp = fp in
-            let* tn = tn in
-            let* fn = fn in
-            Some (tp, fp, tn, fn)
-        | Complement ->
-            let tp, denom_t, fn, denom_f =
-              quad
-                (fun () -> mc phi tree_true)
-                (fun () -> mc space tree_true)
-                (fun () -> mc phi tree_false)
-                (fun () -> mc space tree_false)
-            in
-            let* tp = tp in
-            let* denom_t = denom_t in
-            let* fn = fn in
-            let* denom_f = denom_f in
-            Some (tp, Bignat.sub denom_t tp, Bignat.sub denom_f fn, fn))
-  in
-  let time = Mcml_obs.Obs.monotonic_s () -. start in
-  (match sp with
-  | None -> ()
-  | Some sp ->
+  let time = ref 0.0 and result = ref None in
+  Obs.with_span "accmc.counts"
+    ~attrs:(fun () ->
+      [
+        ("style", Obs.Str (style_name style));
+        ("backend", Obs.Str (Counter.name backend));
+        ("nprimary", Obs.Int nprimary);
+        ("outcome", Obs.Str (if Option.is_none !result then "timeout" else "complete"));
+        ("time_s", Obs.Float !time);
+      ])
+    (fun () ->
+      let outcomes =
+        Counter.count_all ?pool ?budget ?cache ~backend
+          (List.map (fun (gt, side) -> Cnf.conjoin ~nshared:nprimary gt side) problems)
+      in
+      time := Obs.monotonic_s () -. start;
+      result :=
+        Option.map
+          (fun outcomes ->
+            match List.map (fun o -> o.Counter.count) outcomes with
+            | [ tp; x; y; fn ] ->
+                let fp, tn =
+                  match style with
+                  | Direct -> (x, y)
+                  | Complement -> (Bignat.sub x tp, Bignat.sub y fn)
+                in
+                { tp; fp; tn; fn; time = !time }
+            | _ -> assert false)
+          outcomes;
       Obs.add "accmc.evaluations" 1;
-      if Option.is_none result then Obs.add "accmc.timeouts" 1;
-      Obs.finish sp
-        ~attrs:
-          [
-            ("style", Obs.Str (style_name style));
-            ("backend", Obs.Str (Counter.name backend));
-            ("nprimary", Obs.Int nprimary);
-            ("outcome", Obs.Str (if Option.is_none result then "timeout" else "complete"));
-            ("time_s", Obs.Float time);
-          ]);
-  Option.map (fun (tp, fp, tn, fn) -> { tp; fp; tn; fn; time }) result
+      if Option.is_none !result then Obs.add "accmc.timeouts" 1;
+      !result)
 
 let counts ?budget ?style ?pool ?cache ~backend ~phi ~not_phi ~space ~nprimary
     (tree : Decision_tree.t) =

@@ -63,12 +63,11 @@ val counts :
     the full space).  [None] if any counting call times out (the paper
     reports "-" for the whole row in that case).
 
-    With [pool], the four counts run as one parallel batch and are
-    recombined in a fixed order, so results are identical to the
-    sequential path (which is taken verbatim, including its
-    short-circuit on the first timeout, when [pool] is absent).
-    [cache] memoizes each (backend, budget, CNF) count outcome —
-    see {!Counter.cache}. *)
+    The four counts run as one {!Counter.count_all} batch — on [pool]
+    when given — and are recombined in a fixed order, so the counts do
+    not depend on the pool; the first timeout stops the counts not yet
+    started.  [cache] memoizes each (backend, CNF) count outcome — see
+    {!Counter.cache}. *)
 
 val counts_sides :
   ?budget:float ->

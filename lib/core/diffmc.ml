@@ -10,62 +10,30 @@ type counts = {
 }
 
 let counts ?budget ?pool ?cache ~backend ~nprimary d1 d2 =
-  let side tree label = Tree2cnf.cnf_of_label ~nfeatures:nprimary tree ~label in
-  let start = Mcml_obs.Obs.monotonic_s () in
   let open Mcml_obs in
-  let sp = if Obs.enabled () then Some (Obs.start "diffmc.counts") else None in
-  let one l1 l2 =
-    let problem = Cnf.conjoin ~nshared:nprimary (side d1 l1) (side d2 l2) in
-    Counter.count ?budget ?cache ~backend problem
-  in
-  let ( let* ) = Option.bind in
-  let result =
-    let* tt, tf, ft, ff =
-      match pool with
-      | None ->
-          (* sequential path, short-circuiting as before *)
-          let* tt = one true true in
-          let* tf = one true false in
-          let* ft = one false true in
-          let* ff = one false false in
-          Some (tt, tf, ft, ff)
-      | Some pool -> (
-          (* one parallel batch of the four independent counts,
-             recombined in fixed order *)
-          match
-            Mcml_exec.Pool.map_list pool
-              (fun (l1, l2) -> one l1 l2)
-              [ (true, true); (true, false); (false, true); (false, false) ]
-          with
-          | [ tt; tf; ft; ff ] ->
-              let* tt = tt in
-              let* tf = tf in
-              let* ft = ft in
-              let* ff = ff in
-              Some (tt, tf, ft, ff)
-          | _ -> assert false)
-    in
-    Some
-      {
-        tt = tt.Counter.count;
-        tf = tf.Counter.count;
-        ft = ft.Counter.count;
-        ff = ff.Counter.count;
-        time = Mcml_obs.Obs.monotonic_s () -. start;
-      }
-  in
-  (match sp with
-  | None -> ()
-  | Some sp ->
+  let start = Obs.monotonic_s () in
+  let side tree label = Tree2cnf.cnf_of_label ~nfeatures:nprimary tree ~label in
+  let result = ref None in
+  Obs.with_span "diffmc.counts"
+    ~attrs:(fun () ->
+      [
+        ("backend", Obs.Str (Counter.name backend));
+        ("nprimary", Obs.Int nprimary);
+        ("outcome", Obs.Str (if Option.is_none !result then "timeout" else "complete"));
+      ])
+    (fun () ->
+      result :=
+        Option.map
+          (fun outcomes ->
+            match List.map (fun o -> o.Counter.count) outcomes with
+            | [ tt; tf; ft; ff ] -> { tt; tf; ft; ff; time = Obs.monotonic_s () -. start }
+            | _ -> assert false)
+          (Counter.count_all ?pool ?budget ?cache ~backend
+             (List.map
+                (fun (l1, l2) -> Cnf.conjoin ~nshared:nprimary (side d1 l1) (side d2 l2))
+                [ (true, true); (true, false); (false, true); (false, false) ]));
       Obs.add "diffmc.evaluations" 1;
-      Obs.finish sp
-        ~attrs:
-          [
-            ("backend", Obs.Str (Counter.name backend));
-            ("nprimary", Obs.Int nprimary);
-            ("outcome", Obs.Str (if Option.is_none result then "timeout" else "complete"));
-          ]);
-  result
+      !result)
 
 let diff c ~nprimary =
   (Bignat.to_float c.tf +. Bignat.to_float c.ft) /. Bignat.to_float (Bignat.pow2 nprimary)

@@ -27,10 +27,9 @@ val counts :
   Decision_tree.t ->
   Decision_tree.t ->
   counts option
-(** With [pool], the four counts run as one parallel batch (identical
-    results, different schedule); without it, the original sequential
-    short-circuiting path is taken.  [cache] memoizes count outcomes
-    ({!Counter.cache}). *)
+(** The four counts run as one {!Counter.count_all} batch — on [pool]
+    when given, with the same results — and [None] means one of them
+    timed out.  [cache] memoizes count outcomes ({!Counter.cache}). *)
 
 val diff : counts -> nprimary:int -> float
 (** Fraction of the [2^nprimary] input space on which the two trees

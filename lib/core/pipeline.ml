@@ -131,6 +131,26 @@ let generate ?budget (prop : Props.t) (cfg : data_config) : generated =
       generated := Some g;
       g)
 
+let train_eval ?(kind = Model.DT) ?(train_fraction = 0.75) ~seed dataset =
+  let train, test =
+    Dataset.split (Splitmix.create (seed + 5)) ~train_fraction dataset
+  in
+  (Model.train ~sizes:Model.fast_sizes ~seed kind train, train, test)
+
+let diff_trees ~seed dataset =
+  let train, _ =
+    Dataset.split (Splitmix.create (seed + 29)) ~train_fraction:0.5 dataset
+  in
+  (* [train_tree] always returns its tree *)
+  let tree ?params seed = Option.get (Model.train_tree ?params ~seed train).Model.tree in
+  let t1 = tree (seed + 1) in
+  let t2 =
+    tree
+      ~params:{ Decision_tree.max_depth = Some 4; min_samples_split = 8; max_features = None }
+      (seed + 2)
+  in
+  (t1, t2)
+
 let ground_truth (prop : Props.t) ~scope ~symmetry =
   let analyzer = Props.analyzer ~scope in
   let phi = Mcml_alloy.Analyzer.cnf ~symmetry analyzer ~pred:prop.Props.pred in

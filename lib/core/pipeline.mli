@@ -64,6 +64,25 @@ val generate : ?budget:float -> Mcml_props.Props.t -> data_config -> generated
     one.  The reservoir holds at most [max_positives] solutions.
     @raise Timeout when enumeration does not finish within [budget]. *)
 
+val train_eval :
+  ?kind:Model.kind ->
+  ?train_fraction:float ->
+  seed:int ->
+  Dataset.t ->
+  Model.t * Dataset.t * Dataset.t
+(** The train-and-evaluate step of [mcml train-eval], [mcml stats] and
+    the served [accmc] request: split the dataset with
+    [Splitmix.create (seed + 5)] ([train_fraction], default [0.75]),
+    then train [kind] (default [DT]) at {!Model.fast_sizes} with
+    [seed].  Returns the model, the training set and the test set. *)
+
+val diff_trees : seed:int -> Dataset.t -> Decision_tree.t * Decision_tree.t
+(** The DiffMC tree pair of Table 8, [mcml diff] and the served
+    [diffmc] request: on the half of the dataset kept by a split with
+    [Splitmix.create (seed + 29)], one tree with default
+    hyperparameters (seed [seed + 1]) and one with [max_depth = 4],
+    [min_samples_split = 8] (seed [seed + 2]). *)
+
 val ground_truth :
   Mcml_props.Props.t -> scope:int -> symmetry:bool -> Cnf.t * Cnf.t
 (** [(ϕ, ¬ϕ)] as CNFs over the primary variables; when [symmetry],

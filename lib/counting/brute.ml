@@ -24,17 +24,15 @@ let count_core (cnf : Cnf.t) : Bignat.t =
   Bignat.of_int !total
 
 let count (cnf : Cnf.t) : Bignat.t =
-  if not (Mcml_obs.Obs.enabled ()) then count_core cnf
-  else begin
-    let open Mcml_obs in
-    let sp = Obs.start "count.brute" in
-    let r = count_core cnf in
-    Obs.add "count.brute.calls" 1;
-    Obs.finish sp
-      ~attrs:
-        [
-          ("proj_vars", Obs.Int (Array.length (Cnf.projection_vars cnf)));
-          ("count", Obs.Str (Bignat.to_string r));
-        ];
-    r
-  end
+  let open Mcml_obs in
+  let result = ref Bignat.zero in
+  Obs.with_span "count.brute"
+    ~attrs:(fun () ->
+      [
+        ("proj_vars", Obs.Int (Array.length (Cnf.projection_vars cnf)));
+        ("count", Obs.Str (Bignat.to_string !result));
+      ])
+    (fun () ->
+      result := count_core cnf;
+      Obs.add "count.brute.calls" 1;
+      !result)

@@ -152,3 +152,21 @@ let count ?(budget = 5000.0) ?cache ~backend (cnf : Cnf.t) : outcome option =
       ("counter.count." ^ backend_tag backend ^ "_ms")
       ((Mcml_obs.Obs.monotonic_s () -. t0) *. 1000.0);
   outcome
+
+let count_all ?pool ?budget ?cache ~backend cnfs =
+  (* set by the first timeout: a count that has not started by then
+     is skipped, since the batch's answer is already [None] *)
+  let gave_up = Atomic.make false in
+  let one cnf =
+    if Atomic.get gave_up then None
+    else
+      let o = count ?budget ?cache ~backend cnf in
+      if Option.is_none o then Atomic.set gave_up true;
+      o
+  in
+  let outcomes =
+    match pool with
+    | None -> List.map one cnfs
+    | Some pool -> Mcml_exec.Pool.map_list pool one cnfs
+  in
+  if Atomic.get gave_up then None else Some (List.map Option.get outcomes)

@@ -68,3 +68,18 @@ val count :
     after.  While telemetry is enabled, every call feeds the
     per-backend latency histogram [counter.count.<backend>_ms]
     (end-to-end as the caller sees it, cache lookup included). *)
+
+val count_all :
+  ?pool:Mcml_exec.Pool.t ->
+  ?budget:float ->
+  ?cache:cache ->
+  backend:backend ->
+  Cnf.t list ->
+  outcome list option
+(** [count_all ~backend cnfs] runs {!count} on every CNF and returns
+    the outcomes in input order, or [None] if any count timed out.
+    The counts run through {!Mcml_exec.Pool.map_list} when [pool] is
+    given and {!List.map} otherwise; a [jobs <= 1] pool is the same
+    left-to-right sequence.  After the first timeout no further count
+    starts: sequentially, that is every count after it; under a pool,
+    every count not yet picked up (counts already running finish). *)

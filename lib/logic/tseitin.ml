@@ -51,20 +51,18 @@ let cnf_of_core ~nprimary (f : Formula.t) : Cnf.t =
   end
 
 let cnf_of ~nprimary (f : Formula.t) : Cnf.t =
-  if not (Mcml_obs.Obs.enabled ()) then cnf_of_core ~nprimary f
-  else begin
-    let open Mcml_obs in
-    let sp = Obs.start "tseitin.encode" in
-    let cnf = cnf_of_core ~nprimary f in
-    Obs.add "tseitin.encodes" 1;
-    Obs.add "tseitin.aux_vars" (cnf.Cnf.nvars - nprimary);
-    Obs.add "tseitin.clauses" (Array.length cnf.Cnf.clauses);
-    Obs.finish sp
-      ~attrs:
-        [
-          ("nprimary", Obs.Int nprimary);
-          ("aux_vars", Obs.Int (cnf.Cnf.nvars - nprimary));
-          ("clauses", Obs.Int (Array.length cnf.Cnf.clauses));
-        ];
-    cnf
-  end
+  let open Mcml_obs in
+  let sp = Obs.start "tseitin.encode" in
+  let cnf = cnf_of_core ~nprimary f in
+  let aux_vars = cnf.Cnf.nvars - nprimary and clauses = Array.length cnf.Cnf.clauses in
+  Obs.add "tseitin.encodes" 1;
+  Obs.add "tseitin.aux_vars" aux_vars;
+  Obs.add "tseitin.clauses" clauses;
+  Obs.finish sp
+    ~attrs:
+      [
+        ("nprimary", Obs.Int nprimary);
+        ("aux_vars", Obs.Int aux_vars);
+        ("clauses", Obs.Int clauses);
+      ];
+  cnf

@@ -315,27 +315,24 @@ let simplify ?(max_growth = 0) ?(max_resolvent_len = 16) ?(max_pairs = 3000)
         };
     }
   in
-  if not (Mcml_obs.Obs.enabled ()) then finish (run ())
-  else begin
-    let open Mcml_obs in
-    let cnf' =
-      Obs.with_span "sat.inprocess"
-        ~attrs:(fun () ->
-          [
-            ("clauses_in", Obs.Int (Cnf.num_clauses cnf));
-            ("units", Obs.Int st.units);
-            ("subsumed", Obs.Int st.subsumed);
-            ("strengthened", Obs.Int st.strengthened);
-            ("eliminated", Obs.Int st.eliminated);
-            ("resolvents", Obs.Int st.resolvents);
-          ])
-        run
-    in
-    Obs.add "sat.inprocess.calls" 1;
-    Obs.add "sat.inprocess.units" st.units;
-    Obs.add "sat.inprocess.subsumed" st.subsumed;
-    Obs.add "sat.inprocess.strengthened" st.strengthened;
-    Obs.add "sat.inprocess.eliminated" st.eliminated;
-    Obs.add "sat.inprocess.resolvents" st.resolvents;
-    finish cnf'
-  end
+  let open Mcml_obs in
+  let cnf' =
+    Obs.with_span "sat.inprocess"
+      ~attrs:(fun () ->
+        [
+          ("clauses_in", Obs.Int (Cnf.num_clauses cnf));
+          ("units", Obs.Int st.units);
+          ("subsumed", Obs.Int st.subsumed);
+          ("strengthened", Obs.Int st.strengthened);
+          ("eliminated", Obs.Int st.eliminated);
+          ("resolvents", Obs.Int st.resolvents);
+        ])
+      run
+  in
+  Obs.add "sat.inprocess.calls" 1;
+  Obs.add "sat.inprocess.units" st.units;
+  Obs.add "sat.inprocess.subsumed" st.subsumed;
+  Obs.add "sat.inprocess.strengthened" st.strengthened;
+  Obs.add "sat.inprocess.eliminated" st.eliminated;
+  Obs.add "sat.inprocess.resolvents" st.resolvents;
+  finish cnf'

@@ -342,6 +342,76 @@ let diffmc_sim_complement =
       let c = Option.get (Diffmc.counts ~backend ~nprimary:5 d1 d2) in
       Float.abs (Diffmc.sim c ~nprimary:5 +. Diffmc.diff c ~nprimary:5 -. 1.0) < 1e-12)
 
+(* --- count batch ------------------------------------------------------------------ *)
+
+(* AccMC (both styles) and DiffMC give the same four counts whether the
+   batch runs sequentially or on a pool of 2 or 4 domains *)
+let count_batch_pool_identity () =
+  let quad_accmc c = List.map Bignat.to_string [ c.Accmc.tp; c.Accmc.fp; c.Accmc.tn; c.Accmc.fn ] in
+  let quad_diffmc c = List.map Bignat.to_string [ c.Diffmc.tt; c.Diffmc.tf; c.Diffmc.ft; c.Diffmc.ff ] in
+  let runs ?pool prop ~seed =
+    let tree = train_on prop ~scope:3 ~seed in
+    let accmc style =
+      quad_accmc
+        (Option.get
+           (Pipeline.accmc ~style ?pool ~backend ~prop ~scope:3 ~eval_symmetry:true tree))
+    in
+    let data =
+      Pipeline.generate prop { Pipeline.scope = 3; symmetry = false; max_positives = 300; seed }
+    in
+    let t1, t2 = Pipeline.diff_trees ~seed data.Pipeline.dataset in
+    [
+      ("direct", accmc Accmc.Direct);
+      ("complement", accmc Accmc.Complement);
+      ("diffmc", quad_diffmc (Option.get (Diffmc.counts ?pool ~backend ~nprimary:9 t1 t2)));
+    ]
+  in
+  List.iteri
+    (fun seed name ->
+      let prop = Props.find_exn name in
+      let expected = runs prop ~seed in
+      List.iter
+        (fun jobs ->
+          let got = Mcml_exec.Pool.with_pool ~jobs (fun pool -> runs ~pool prop ~seed) in
+          List.iter2
+            (fun (what, e) (_, g) ->
+              check
+                Alcotest.(list string)
+                (Printf.sprintf "%s %s jobs=%d" name what jobs)
+                e g)
+            expected got)
+        [ 2; 4 ])
+    [ "Reflexive"; "PartialOrder"; "Function"; "Transitive" ]
+
+(* an expired budget: the first count times out and, sequentially, no
+   further count starts *)
+let count_all_short_circuit () =
+  let module Obs = Mcml_obs.Obs in
+  let prop = Props.find_exn "PartialOrder" in
+  let phi, not_phi = Pipeline.ground_truth prop ~scope:3 ~symmetry:false in
+  let cnfs = [ phi; not_phi; phi; not_phi ] in
+  let timeouts ?pool () =
+    Obs.set_sink (Obs.stats_only ());
+    Obs.reset_counters ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_sink Obs.null;
+        Obs.reset_counters ())
+      (fun () ->
+        let r =
+          Mcml_counting.Counter.count_all ?pool ~budget:(-1.0) ~backend cnfs
+        in
+        check Alcotest.bool "batch answers None" true (Option.is_none r);
+        Obs.counter_value "count.timeouts")
+  in
+  check (Alcotest.float 0.0) "one timeout, no pool" 1.0 (timeouts ());
+  check (Alcotest.float 0.0) "one timeout, jobs=1" 1.0
+    (Mcml_exec.Pool.with_pool ~jobs:1 (fun pool -> timeouts ~pool ()));
+  (* under a pool the counts already started may also time out *)
+  let parallel = Mcml_exec.Pool.with_pool ~jobs:2 (fun pool -> timeouts ~pool ()) in
+  check Alcotest.bool "jobs=2: between 1 and 4 timeouts" true
+    (parallel >= 1.0 && parallel <= 4.0)
+
 (* --- pipeline ---------------------------------------------------------------------- *)
 
 let pipeline_generate_invariants () =
@@ -662,6 +732,12 @@ let () =
           ] );
       ( "diffmc",
         [ diffmc_matches_exhaustive; diffmc_self_is_zero; diffmc_sim_complement ] );
+      ( "count batch",
+        [
+          Alcotest.test_case "same counts at no pool, jobs=2, jobs=4" `Slow
+            count_batch_pool_identity;
+          Alcotest.test_case "first timeout stops the batch" `Quick count_all_short_circuit;
+        ] );
       ( "pipeline",
         [
           Alcotest.test_case "generate invariants" `Quick pipeline_generate_invariants;

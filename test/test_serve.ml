@@ -233,6 +233,53 @@ let execute_health_stats () =
           | _ -> Alcotest.failf "stats payload: %s" (Json.to_string payload))
       | Error (_, msg) -> Alcotest.failf "stats failed: %s" msg)
 
+(* a served accmc/diffmc answer equals the direct recipe: the CLI's
+   dataset, [Pipeline.train_eval]/[Pipeline.diff_trees] and the counts *)
+let execute_accmc_diffmc_match_direct () =
+  let module Pipeline = Mcml.Pipeline in
+  let backend = Mcml_counting.Counter.Exact and seed = 42 in
+  let strings = List.map Mcml_logic.Bignat.to_string in
+  with_server (fun srv ->
+      List.iter
+        (fun name ->
+          let prop = Mcml_props.Props.find_exn name in
+          let data =
+            Pipeline.generate prop
+              { Pipeline.scope = 3; symmetry = false; max_positives = 3000; seed }
+          in
+          let m, _, _ = Pipeline.train_eval ~seed data.Pipeline.dataset in
+          let a =
+            Option.get
+              (Pipeline.accmc ~backend ~prop ~scope:3 ~eval_symmetry:false
+                 (Option.get m.Mcml_ml.Model.tree))
+          in
+          let t1, t2 = Pipeline.diff_trees ~seed data.Pipeline.dataset in
+          let d = Option.get (Mcml.Diffmc.counts ~backend ~nprimary:9 t1 t2) in
+          let served kind fields =
+            let q = mk_query ~scope:3 ~budget:30.0 ~seed name in
+            let resp =
+              Server.execute srv
+                { Protocol.id = Json.Null; trace = None; deadline_ms = None; kind = kind q }
+            in
+            List.map
+              (fun f ->
+                match result_member resp f with
+                | Json.Str v -> v
+                | v -> Alcotest.failf "%s: %s is not a string" f (Json.to_string v))
+              fields
+          in
+          check
+            Alcotest.(list string)
+            (name ^ ": served accmc = direct")
+            (strings Mcml.Accmc.[ a.tp; a.fp; a.tn; a.fn ])
+            (served (fun q -> Protocol.Accmc q) [ "tp"; "fp"; "tn"; "fn" ]);
+          check
+            Alcotest.(list string)
+            (name ^ ": served diffmc = direct")
+            (strings Mcml.Diffmc.[ d.tt; d.tf; d.ft; d.ff ])
+            (served (fun q -> Protocol.Diffmc q) [ "tt"; "tf"; "ft"; "ff" ]))
+        [ "Reflexive"; "PartialOrder" ])
+
 (* accmc and diffmc enumerate the dataset's positives at the client's
    scope: Irreflexive at scope 6 has 2^30 of them, so both the request
    deadline and, without one, the request budget must bound generation. *)
@@ -523,6 +570,8 @@ let () =
           Alcotest.test_case "count matches direct Analyzer.count" `Quick
             execute_count_matches_direct;
           Alcotest.test_case "health and stats" `Quick execute_health_stats;
+          Alcotest.test_case "accmc and diffmc match the direct recipe" `Quick
+            execute_accmc_diffmc_match_direct;
           Alcotest.test_case "large-scope generation is bounded" `Quick
             large_scope_generation_bounded;
         ] );
